@@ -12,9 +12,10 @@
 //   3. structured (§5) term streams through ShardedStructuredEngine —
 //      DNF terms sharded as *items* across same-seed StructuredF0
 //      replicas, per variant and shard count;
-//   4. a skewed-producer table: one shard's replica absorbs ~10x slower,
-//      with work stealing off vs on — the recovery the steal policy buys
-//      (and `batches_stolen` making it visible).
+//   4. a skewed-replica row: one shard's replica absorbs ~10x slower
+//      while every worker drains the one shared queue, printed beside the
+//      unskewed 4-shard x 4-producer Bucketing rate, so what the slow
+//      replica costs is visible.
 //
 // The multi-producer table also reports mid-stream estimate-poll latency:
 // a thread hammering SnapshotEstimate() while producers saturate the
@@ -55,8 +56,9 @@ using namespace mcf0::bench;
 
 constexpr size_t kBatch = 4096;
 
-/// Batch size for the skewed-shard table: small enough that queue depth
-/// (and so stealing opportunity) is visible at bench stream lengths.
+/// Batch size for the skewed-replica row: small enough that the stream
+/// spans many batches at bench lengths, so the fast workers can take the
+/// ones the slow replica does not reach.
 constexpr size_t kSkewBatch = 256;
 
 const char* Name(F0Algorithm alg) {
@@ -180,12 +182,12 @@ Measured RunMultiProducer(const F0Params& params,
           polls > 0 ? poll_total_us / static_cast<double>(polls) : 0.0, polls};
 }
 
-// ---- skewed shards --------------------------------------------------------
+// ---- skewed replica -------------------------------------------------------
 
 // An F0Estimator wrapper whose first-built replica absorbs ~10x slower —
-// the skew scenario the steal policy exists for. The factory is called
-// once per shard in construction order, so the first call tags exactly
-// shard 0 (merge targets built later stay fast).
+// a hot replica or a noisy core. The factory is called once per shard in
+// construction order, so the first call tags exactly shard 0 (merge
+// targets built later stay fast).
 struct SlowShardSketch {
   F0Estimator inner;
   bool slow = false;
@@ -208,16 +210,14 @@ Status Merge(SlowShardSketch& into, const SlowShardSketch& from) {
 
 struct SkewMeasured {
   double elems_per_sec = 0.0;
-  uint64_t stolen = 0;
   std::string bytes;  // encoded inner sketch: the byte-identity gate
 };
 
 SkewMeasured RunSkewed(const F0Params& params, const std::vector<uint64_t>& xs,
-                       int shards, int producers, bool stealing) {
+                       int shards, int producers) {
   auto built = std::make_shared<std::atomic<int>>(0);
   ShardedEngineOptions options;
   options.batch_size = kSkewBatch;
-  options.enable_work_stealing = stealing;
   ShardedEngine<SlowShardSketch, uint64_t> engine(
       [params, built] {
         SlowShardSketch sketch{F0Estimator(params)};
@@ -242,7 +242,7 @@ SkewMeasured RunSkewed(const F0Params& params, const std::vector<uint64_t>& xs,
   for (auto& thread : threads) thread.join();
   const double secs = timer.Seconds();
   SlowShardSketch merged = engine.MergedSketch();
-  return {static_cast<double>(xs.size()) / secs, engine.batches_stolen(),
+  return {static_cast<double>(xs.size()) / secs,
           SketchCodec::Encode(merged.inner)};
 }
 
@@ -326,9 +326,7 @@ int main(int argc, char** argv) {
   double json_sharded = 0.0;
   double json_multi_producer = 0.0;
   double json_poll_us = 0.0;
-  double json_skew_off = 0.0;
-  double json_skew_on = 0.0;
-  uint64_t json_skew_stolen = 0;
+  double json_skew = 0.0;
   double json_structured_serial = 0.0;
   double json_structured_sharded = 0.0;
 
@@ -411,35 +409,26 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\n-- skewed shards: shard 0 ~10x slower (4 shards, 4 producers) --\n");
-  std::printf("%-11s %9s %9s %12s %9s %8s\n", "algorithm", "stealing",
-              "elements", "elems/s", "speedup", "stolen");
+      "\n-- skewed replica: shard 0 ~10x slower (4 shards, 4 producers) --\n");
+  std::printf("%-11s %9s %12s %14s %9s\n", "algorithm", "elements",
+              "elems/s", "unskewed e/s", "ratio");
   {
     const F0Params params = BenchParams(F0Algorithm::kBucketing);
     F0Estimator serial_sketch(params);
     for (const uint64_t x : xs) serial_sketch.Add(x);
-    const std::string serial_bytes = SketchCodec::Encode(serial_sketch);
-    double base_rate = 0.0;
-    for (const bool stealing : {false, true}) {
-      const SkewMeasured measured = RunSkewed(params, xs, 4, 4, stealing);
-      if (!stealing) {
-        base_rate = measured.elems_per_sec;
-        json_skew_off = measured.elems_per_sec;
-      } else {
-        json_skew_on = measured.elems_per_sec;
-        json_skew_stolen = measured.stolen;
-      }
-      char speedup[16];
-      std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                    base_rate > 0 ? measured.elems_per_sec / base_rate : 0.0);
-      std::printf("%-11s %9s %9zu %12.0f %9s %8llu\n", "Bucketing",
-                  stealing ? "on" : "off", xs.size(), measured.elems_per_sec,
-                  speedup, static_cast<unsigned long long>(measured.stolen));
-      if (measured.bytes != serial_bytes) {
-        std::printf("  ^ MISMATCH: skewed sketch bytes diverged from "
-                    "serial!\n");
-        return 1;
-      }
+    const SkewMeasured measured = RunSkewed(params, xs, 4, 4);
+    json_skew = measured.elems_per_sec;
+    char ratio[16];
+    std::snprintf(ratio, sizeof(ratio), "%.2fx",
+                  json_multi_producer > 0
+                      ? measured.elems_per_sec / json_multi_producer
+                      : 0.0);
+    std::printf("%-11s %9zu %12.0f %14.0f %9s\n", "Bucketing", xs.size(),
+                measured.elems_per_sec, json_multi_producer, ratio);
+    if (measured.bytes != SketchCodec::Encode(serial_sketch)) {
+      std::printf("  ^ MISMATCH: skewed sketch bytes diverged from "
+                  "serial!\n");
+      return 1;
     }
   }
 
@@ -481,8 +470,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n(speedups are relative to the 1-shard / 1-producer engine; "
-              "the serial rows are the no-engine baseline; the skew table's "
-              "speedup is relative to stealing off)\n\n");
+              "the serial rows are the no-engine baseline; the skew row's "
+              "ratio is relative to the unskewed 4-producer Bucketing "
+              "rate)\n\n");
 
   // Cache-refresh gate: estimate polls racing an in-flight batch must
   // perform a partial — never a full — rebuild once it lands. This is
@@ -538,9 +528,7 @@ int main(int argc, char** argv) {
        << "  \"multi_producer_items_per_sec\": " << json_multi_producer
        << ",\n"
        << "  \"midstream_poll_us\": " << json_poll_us << ",\n"
-       << "  \"skew_items_per_sec_stealing_off\": " << json_skew_off << ",\n"
-       << "  \"skew_items_per_sec_stealing_on\": " << json_skew_on << ",\n"
-       << "  \"skew_batches_stolen\": " << json_skew_stolen << ",\n"
+       << "  \"skew_items_per_sec\": " << json_skew << ",\n"
        << "  \"partial_rebuild_gate\": true,\n"
        << "  \"structured_serial_items_per_sec\": " << json_structured_serial
        << ",\n"

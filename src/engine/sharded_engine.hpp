@@ -26,12 +26,13 @@
 ///
 /// Ingestion is *multi-producer*: any number of threads may each hold a
 /// `Producer` handle (MakeProducer()). A handle buffers items privately
-/// and hands whole batches to shard queues round-robin — the hot path
-/// takes only the chosen shard's queue mutex, never a global producer
-/// lock. Bounded queues give backpressure instead of unbounded memory.
-/// Each handle remembers, per shard, the queue ticket of its last batch,
-/// so `Producer::Flush()` waits for exactly its own (and earlier) batches
-/// while other producers keep streaming.
+/// and hands whole batches to one bounded FIFO shared by every worker;
+/// whichever worker is free absorbs the oldest batch, so a slow replica
+/// simply takes fewer batches instead of stalling the others. The bound
+/// gives backpressure instead of unbounded memory. Every batch carries a
+/// ticket from one engine-wide sequence, so `Producer::Flush()` waits for
+/// exactly its own (and earlier) batches while other producers keep
+/// streaming.
 ///
 /// Queries merge-on-demand and are safe while producers are mid-stream.
 /// All of them are served by one incrementally maintained union: each
@@ -49,21 +50,12 @@
 ///     refresh from whatever each shard has absorbed so far — a
 ///     consistent-per-shard snapshot that never stops ingestion.
 ///
-/// Ingestion is skew-proof via shard-affinity work stealing: a producer
-/// whose preferred queue is full overflows to the next shard instead of
-/// parking while other shards idle, and an idle worker steals the
-/// oldest batch from the deepest queue (`batches_stolen()`). Neither
-/// breaks the union guarantee — any split of the stream merges to the
-/// same bytes — and per-producer `Flush()` tickets stay exact through a
-/// per-shard completion watermark that tolerates out-of-order absorbs.
-///
 /// Destruction order: every external `Producer` must be flushed or
 /// destroyed before its engine (handle destructors dispatch their tail
-/// buffer; the engine's workers drain all queues before honoring stop).
+/// buffer; the engine's workers drain the queue before honoring stop).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -71,9 +63,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
-#include <string>
 #include <thread>
 #include <utility>
 #include <variant>
@@ -98,20 +88,6 @@ struct ShardedEngineOptions {
   /// shards busy on modest streams. (Structured items are whole sets, so
   /// the structured engine defaults much lower.)
   size_t batch_size = 2048;
-
-  /// Bound on batches queued per shard; a producer blocks past this, so a
-  /// slow consumer exerts backpressure instead of growing memory without
-  /// limit.
-  size_t max_queued_batches = 64;
-
-  /// Shard-affinity work stealing (docs/engine.md): a producer that
-  /// finds its preferred queue full overflows to the next shard with
-  /// room before blocking, and an idle worker steals the oldest batch
-  /// from the deepest queue. Both preserve the exact-union guarantee
-  /// (any split of the stream merges to the same bytes) and exact
-  /// per-producer Flush() semantics; disable only to reproduce strict
-  /// round-robin placement (benchmarks, skew experiments).
-  bool enable_work_stealing = true;
 };
 
 namespace engine_obs {
@@ -124,8 +100,8 @@ struct Metrics {
   obs::Counter* items_absorbed;
   obs::Counter* cache_rebuilds;
   obs::Counter* cache_partial_rebuilds;
-  obs::Counter* batches_stolen;
   obs::Counter* enqueue_blocks;
+  obs::Gauge* queue_depth;
   obs::Histogram* enqueue_block_us;
   obs::Histogram* absorb_batch_us;
 };
@@ -136,8 +112,8 @@ inline Metrics& Get() {
       obs::Registry::Global().GetCounter("mcf0_engine_cache_rebuilds_total"),
       obs::Registry::Global().GetCounter(
           "mcf0_engine_cache_partial_rebuilds_total"),
-      obs::Registry::Global().GetCounter("mcf0_engine_batches_stolen_total"),
       obs::Registry::Global().GetCounter("mcf0_engine_enqueue_blocks_total"),
+      obs::Registry::Global().GetGauge("mcf0_engine_queue_depth"),
       obs::Registry::Global().GetHistogram("mcf0_engine_enqueue_block_us"),
       obs::Registry::Global().GetHistogram("mcf0_engine_absorb_batch_us")};
   return metrics;
@@ -181,26 +157,24 @@ class ShardedEngine {
     Producer(Producer&& o) noexcept
         : engine_(std::exchange(o.engine_, nullptr)),
           pending_(std::move(o.pending_)),
-          next_shard_(o.next_shard_),
-          tickets_(std::move(o.tickets_)) {}
+          last_ticket_(o.last_ticket_) {}
     Producer& operator=(Producer&& o) noexcept {
       if (this != &o) {
         DispatchPending();
         engine_ = std::exchange(o.engine_, nullptr);
         pending_ = std::move(o.pending_);
-        next_shard_ = o.next_shard_;
-        tickets_ = std::move(o.tickets_);
+        last_ticket_ = o.last_ticket_;
       }
       return *this;
     }
     Producer(const Producer&) = delete;
     Producer& operator=(const Producer&) = delete;
 
-    /// Hands the tail buffer to a shard; does not wait (the engine's
-    /// destructor drains all queues before joining).
+    /// Hands the tail buffer to the queue; does not wait (the engine's
+    /// destructor drains the queue before joining).
     ~Producer() { DispatchPending(); }
 
-    /// Buffers one item; dispatched to a shard once the batch fills (or
+    /// Buffers one item; dispatched to the queue once the batch fills (or
     /// on Flush). kFailedPrecondition on a detached (closed or moved-from)
     /// handle — the item is not accepted.
     Status Add(Item item) {
@@ -214,27 +188,29 @@ class ShardedEngine {
       return Status::Ok();
     }
 
-    /// The bulk hot path: hands the whole batch to the next shard
-    /// round-robin. Copies the span, so the caller may reuse its buffer
-    /// immediately. kFailedPrecondition on a detached handle.
+    /// The bulk hot path: queues the whole span as one batch. Copies the
+    /// span, so the caller may reuse its buffer immediately.
+    /// kFailedPrecondition on a detached handle.
     Status AddBatch(std::span<const Item> items) {
       if (engine_ == nullptr) return Detached();
       if (items.empty()) return Status::Ok();
       engine_->items_.fetch_add(items.size(), std::memory_order_relaxed);
-      Dispatch(std::vector<Item>(items.begin(), items.end()));
+      last_ticket_ =
+          engine_->Dispatch(std::vector<Item>(items.begin(), items.end()));
       return Status::Ok();
     }
 
     /// Dispatches the tail buffer and blocks until every batch *this
-    /// producer* dispatched has been absorbed by its replica. Safe while
+    /// producer* dispatched has been absorbed by a replica. Safe while
     /// other producers are mid-stream: the wait covers only batches
-    /// queued no later than this producer's own (per-shard FIFO order),
-    /// never work other producers enqueue afterwards. A no-op on a
-    /// moved-from handle (like the destructor).
+    /// ticketed no later than this producer's last one, never work other
+    /// producers dispatch afterwards. A no-op on a moved-from handle
+    /// (like the destructor).
     void Flush() {
       if (engine_ == nullptr) return;
       DispatchPending();
-      engine_->AwaitTickets(tickets_);
+      std::unique_lock<std::mutex> lock(engine_->mu_);
+      engine_->AwaitAbsorbedLocked(last_ticket_, lock);
     }
 
     /// Flush-and-detach: dispatches the tail buffer, waits for every batch
@@ -260,31 +236,17 @@ class ShardedEngine {
     }
 
     friend class ShardedEngine;
-    Producer(ShardedEngine* engine, size_t start_shard)
-        : engine_(engine),
-          next_shard_(start_shard),
-          tickets_(engine->shards_.size(), 0) {}
+    explicit Producer(ShardedEngine* engine) : engine_(engine) {}
 
     void DispatchPending() {
       if (engine_ == nullptr || pending_.empty()) return;
-      Dispatch(std::move(pending_));
+      last_ticket_ = engine_->Dispatch(std::move(pending_));
       pending_.clear();  // moved-from: restore a definite empty state
-    }
-
-    void Dispatch(std::vector<Item> batch) {
-      const size_t preferred = next_shard_;
-      next_shard_ = (next_shard_ + 1) % engine_->shards_.size();
-      // The batch may land on an overflow shard, not the preferred one;
-      // the ticket follows wherever it was actually enqueued so Flush()
-      // waits on the right shard's completion watermark.
-      const auto placed = engine_->DispatchTo(preferred, std::move(batch));
-      tickets_[placed.shard] = placed.ticket;
     }
 
     ShardedEngine* engine_;
     std::vector<Item> pending_;  // Add() buffer, not yet dispatched
-    size_t next_shard_;
-    std::vector<uint64_t> tickets_;  // per shard: last enqueued ticket
+    uint64_t last_ticket_ = 0;   // ticket of the last dispatch; 0 = none
   };
 
   /// Spawns `num_shards` workers, each with a private replica from
@@ -294,12 +256,10 @@ class ShardedEngine {
                 ShardedEngineOptions options = {})
       : factory_(std::move(factory)), options_(options) {
     MCF0_CHECK(num_shards >= 1);
-    MCF0_CHECK(options_.batch_size >= 1 && options_.max_queued_batches >= 1);
+    MCF0_CHECK(options_.batch_size >= 1);
     shards_.reserve(num_shards);
     for (int i = 0; i < num_shards; ++i) {
       shards_.push_back(std::make_unique<Shard>(factory_()));
-      shards_.back()->queue_depth = obs::Registry::Global().GetGauge(
-          "mcf0_engine_queue_depth", {{"shard", std::to_string(i)}});
     }
     // Replicas first, threads second: if a sketch constructor throws
     // there are no workers to unwind.
@@ -309,18 +269,16 @@ class ShardedEngine {
     }
   }
 
-  /// Joins the workers after they drain their queues; producers must have
+  /// Joins the workers after they drain the queue; producers must have
   /// been flushed or destroyed first (their destructors dispatch any tail
   /// buffer, and workers drain before honoring stop, so nothing ingested
   /// is dropped).
   ~ShardedEngine() {
-    for (auto& shard : shards_) {
-      {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        shard->stop = true;
-      }
-      shard->work_ready.notify_all();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
     }
+    work_ready_.notify_all();
     for (auto& shard : shards_) shard->thread.join();
   }
 
@@ -328,13 +286,8 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   /// A new ingestion handle, usable from exactly one thread at a time.
-  /// Handles start on staggered shards so concurrent producers do not
-  /// convoy on one queue. Thread-safe.
-  Producer MakeProducer() {
-    const size_t start =
-        producers_made_.fetch_add(1, std::memory_order_relaxed);
-    return Producer(this, start % shards_.size());
-  }
+  /// Thread-safe.
+  Producer MakeProducer() { return Producer(this); }
 
   /// Blocks until every batch dispatched before this call has been
   /// absorbed by a replica. Safe to call while other producers keep
@@ -342,27 +295,8 @@ class ShardedEngine {
   /// producer's private buffer are not yet part of the stream; flush the
   /// producer to include them.
   void Flush() {
-    // Quiescent fast path off the relaxed mirrors: no shard mutex when
-    // there is nothing to wait for. Ordering argument: a batch bumps
-    // the enqueue mirror (under its shard lock) strictly before any
-    // worker can complete it and bump the absorb mirror (release), so
-    // with `absorbed` loaded first (acquire), absorbed >= enqueued
-    // implies every batch whose enqueue this thread can observe has
-    // been absorbed — if some observable batch were incomplete, the
-    // enqueue bumps of the `absorbed` completed batches plus that
-    // batch's own would make the later `enqueued` load exceed
-    // `absorbed`.
-    const uint64_t absorbed =
-        batches_absorbed_.load(std::memory_order_acquire);
-    const uint64_t enqueued =
-        batches_enqueued_.load(std::memory_order_relaxed);
-    if (absorbed >= enqueued) return;
-    for (auto& shard : shards_) {
-      std::unique_lock<std::mutex> lock(shard->mu);
-      const uint64_t target = shard->enqueued;
-      shard->drained.wait(
-          lock, [&shard, target] { return shard->absorbed >= target; });
-    }
+    std::unique_lock<std::mutex> lock(mu_);
+    AwaitAbsorbedLocked(issued_, lock);
   }
 
   /// Flush + merge-on-query: the union of all shard replicas, exactly
@@ -373,22 +307,17 @@ class ShardedEngine {
   /// refreshed incrementally; see cache_rebuilds().
   Sketch MergedSketch() {
     Flush();
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    const Sketch& cached = RefreshCacheLocked();
-    Sketch out = factory_();
-    MergeOrDie(out, cached);
-    return out;
+    return SnapshotSketch();
   }
 
   /// MergedSketch().Estimate() without materializing a copy: reads the
   /// cached union directly. Cache rule (docs/engine.md): the union is
   /// refreshed per shard, folding only replicas whose absorb generation
   /// advanced since the last refresh — repeated queries with no absorbs
-  /// in between are pure cache hits, whatever sits in the queues.
+  /// in between are pure cache hits, whatever sits in the queue.
   double Estimate() {
     Flush();
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    return RefreshCacheLocked().Estimate();
+    return SnapshotEstimate();
   }
 
   /// Merge-without-drain: the union of each shard's absorbed prefix,
@@ -396,7 +325,7 @@ class ShardedEngine {
   /// cache as Estimate(): a poll refolds only shards that absorbed
   /// something since the last query (O(changed), and O(1) — no shard
   /// lock at all — when ingestion is quiescent), so live dashboards can
-  /// poll while producers saturate the queues.
+  /// poll while producers saturate the queue.
   Sketch SnapshotSketch() {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
     const Sketch& cached = RefreshCacheLocked();
@@ -433,7 +362,7 @@ class ShardedEngine {
   /// How many queries had to fold at least one shard replica into the
   /// cached union — observability for the validity rule (and its
   /// tests): queries with no completed absorb in between must not add
-  /// to this, even with batches sitting in the queues.
+  /// to this, even with batches sitting in the queue.
   uint64_t cache_rebuilds() const {
     return cache_rebuilds_.load(std::memory_order_relaxed);
   }
@@ -447,42 +376,26 @@ class ShardedEngine {
     return cache_partial_rebuilds_.load(std::memory_order_relaxed);
   }
 
-  /// Batches absorbed by a worker other than the one whose queue they
-  /// were enqueued on (shard-affinity work stealing).
-  uint64_t batches_stolen() const {
-    return batches_stolen_.load(std::memory_order_relaxed);
-  }
-
-  /// Batches currently sitting in shard queues (enqueued, not yet
-  /// absorbed) — the engine's backpressure signal. `mcf0 serve` derives
-  /// protocol credit grants from this on *every ack*, so it reads two
-  /// relaxed mirrors of the per-shard counts instead of taking every
-  /// shard mutex (which contended with the workers). Point-in-time, not
-  /// a fence — fine for flow control; the hard bound is the queues.
-  /// Loading absorbed before enqueued keeps the difference from ever
-  /// wrapping: each batch bumps the enqueue mirror (under its shard
-  /// lock) strictly before a worker can pop it and bump the absorb
-  /// mirror.
+  /// Batches dispatched but not yet absorbed (queued or mid-absorb) — the
+  /// engine's backpressure signal, from which `mcf0 serve` derives
+  /// protocol credit grants on every ack. Point-in-time, not a fence.
   uint64_t queued_batches() const {
-    const uint64_t absorbed =
-        batches_absorbed_.load(std::memory_order_relaxed);
-    const uint64_t enqueued =
-        batches_enqueued_.load(std::memory_order_relaxed);
-    return enqueued - absorbed;
+    std::lock_guard<std::mutex> lock(mu_);
+    return issued_ - absorbed_;
   }
 
-  /// Total batches the shard queues hold before dispatch blocks:
-  /// num_shards * max_queued_batches. Constant over the engine's life.
+  /// Batches the queue holds before dispatch blocks: num_shards *
+  /// kQueuedBatchesPerShard. Constant over the engine's life.
   uint64_t queue_capacity() const {
-    return static_cast<uint64_t>(shards_.size()) *
-           options_.max_queued_batches;
+    return static_cast<uint64_t>(shards_.size()) * kQueuedBatchesPerShard;
   }
-
-  const ShardedEngineOptions& options() const { return options_; }
 
  private:
-  /// A queued batch carries the ticket it was enqueued under, so a
-  /// thief can complete it against the home shard's watermark.
+  /// Queue bound per worker: enough to keep every worker fed through a
+  /// producer's burst, small enough that a stalled engine holds bounded
+  /// memory.
+  static constexpr uint64_t kQueuedBatchesPerShard = 64;
+
   struct QueuedBatch {
     uint64_t ticket = 0;
     std::vector<Item> items;
@@ -491,26 +404,10 @@ class ShardedEngine {
   struct Shard {
     explicit Shard(Sketch replica) : sketch(std::move(replica)) {}
 
-    std::mutex mu;  // guards queue, enqueued, absorbed, done_tickets, stop
-    std::condition_variable work_ready;  // producer -> worker
-    std::condition_variable drained;     // worker -> producers (flush, bp)
-    std::deque<QueuedBatch> queue;
-    uint64_t enqueued = 0;  // batches ever queued (= last ticket issued)
-    /// Completion watermark: every batch with ticket <= absorbed has
-    /// been absorbed into *some* replica. Work stealing completes
-    /// tickets out of queue order; completions ahead of the watermark
-    /// park in done_tickets until the gap closes, so Flush()'s
-    /// "absorbed >= ticket" wait never releases past an unfinished
-    /// batch.
-    uint64_t absorbed = 0;
-    std::set<uint64_t> done_tickets;
-    bool stop = false;
-
-    /// Lock-free mirror of queue.size(), for cross-shard scans (steal
-    /// victim selection, overflow-dispatch pre-screen) that must not
-    /// take another shard's mutex. Point-in-time; every decision it
-    /// feeds is re-checked under the victim's lock.
-    std::atomic<size_t> queue_size{0};
+    /// Ticket of the batch this worker is absorbing, 0 while idle.
+    /// Guarded by the engine's mu_: a flush waits on it for batches that
+    /// have left the queue but are not yet in the replica.
+    uint64_t absorbing = 0;
 
     /// Batches absorbed into `sketch` — the replica's publish
     /// generation. Bumped (release) after the batch's items are in, so
@@ -523,20 +420,7 @@ class ShardedEngine {
     std::mutex sketch_mu;  // guards sketch: worker absorb vs query merge
     Sketch sketch;
     std::thread thread;
-
-    obs::Gauge* queue_depth = nullptr;  // mcf0_engine_queue_depth{shard=i}
   };
-
-  /// Queues shallower than this are not worth stealing from: a single
-  /// queued batch is the home worker's next pop.
-  static constexpr size_t kMinStealDepth = 2;
-
-  /// An idle worker rescans for steal candidates on this period. A deep
-  /// queue on another shard cannot reliably notify this worker's
-  /// condvar (the producer holds the victim's lock, not ours, so a
-  /// wakeup could be lost); short periodic rescans make steals robust
-  /// without cross-shard lock traffic on the enqueue hot path.
-  static constexpr std::chrono::milliseconds kIdleRescanInterval{2};
 
   static void MergeOrDie(Sketch& into, const Sketch& from) {
     const Status status = Merge(into, from);
@@ -545,176 +429,71 @@ class ShardedEngine {
 
   void WorkerLoop(Shard* self) {
     for (;;) {
-      Shard* home = nullptr;  // the shard whose queue the batch came from
       QueuedBatch batch;
       {
-        std::unique_lock<std::mutex> lock(self->mu);
-        if (!self->queue.empty()) {
-          batch = std::move(self->queue.front());
-          self->queue.pop_front();
-          self->queue_size.fetch_sub(1, std::memory_order_relaxed);
-          home = self;
-        } else if (self->stop) {
-          return;  // stop requested, own queue drained
-        }
+        std::unique_lock<std::mutex> lock(mu_);
+        work_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+        if (queue_.empty()) return;  // stop requested, queue drained
+        batch = std::move(queue_.front());
+        queue_.pop_front();
+        self->absorbing = batch.ticket;
       }
-      if (home == self) {
-        // The pop made room; backpressured producers wait on queue
-        // length, not completions, so wake them now rather than after
-        // the (possibly long) absorb.
-        self->drained.notify_all();
-      } else if (options_.enable_work_stealing) {
-        home = TrySteal(self, &batch);
-      }
-      if (home == nullptr) {
-        std::unique_lock<std::mutex> lock(self->mu);
-        const auto ready = [self] {
-          return self->stop || !self->queue.empty();
-        };
-        if (options_.enable_work_stealing) {
-          self->work_ready.wait_for(lock, kIdleRescanInterval, ready);
-        } else {
-          self->work_ready.wait(lock, ready);
-        }
-        continue;
-      }
+      // The pop made room; backpressured producers wait on queue length,
+      // not completions, so wake them now rather than after the
+      // (possibly long) absorb.
+      progress_.notify_all();
       {
         MCF0_TRACE_SPAN("engine.absorb_batch");
         obs::ScopedLatencyUs absorb_timer(engine_obs::Get().absorb_batch_us);
         std::lock_guard<std::mutex> sketch_lock(self->sketch_mu);
         AbsorbBatch(self->sketch, std::span<const Item>(batch.items));
       }
-      // Publish the replica change before the completion bookkeeping:
-      // the merge cache reads replica_gen without sketch_mu, and the
-      // Flush() fast path requires the items to be visible by the time
-      // the absorb mirror covers this batch.
+      // Publish the replica change before the slot clears: a flush the
+      // clear releases must find these items in its next cache refresh.
       self->replica_gen.fetch_add(1, std::memory_order_release);
       engine_obs::Get().items_absorbed->Increment(batch.items.size());
-      if (home != self) {
-        batches_stolen_.fetch_add(1, std::memory_order_relaxed);
-        engine_obs::Get().batches_stolen->Increment();
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        self->absorbing = 0;
+        ++absorbed_;
+        engine_obs::Get().queue_depth->Add(-1);
       }
-      CompleteTicket(home, batch.ticket);
+      progress_.notify_all();
     }
   }
 
-  /// Picks the deepest other queue (by its lock-free size mirror,
-  /// re-checked under the victim's lock) and pops its oldest batch.
-  /// Returns the victim shard, or nullptr if nothing is worth stealing.
-  /// Oldest-first keeps completions near queue order, so the home
-  /// shard's watermark advances and done_tickets stays tiny.
-  Shard* TrySteal(Shard* self, QueuedBatch* batch) {
-    Shard* victim = nullptr;
-    size_t deepest = kMinStealDepth - 1;
-    for (auto& shard : shards_) {
-      if (shard.get() == self) continue;
-      const size_t size = shard->queue_size.load(std::memory_order_relaxed);
-      if (size > deepest) {
-        deepest = size;
-        victim = shard.get();
-      }
-    }
-    if (victim == nullptr) return nullptr;
-    {
-      std::lock_guard<std::mutex> lock(victim->mu);
-      if (victim->queue.size() < kMinStealDepth) return nullptr;
-      *batch = std::move(victim->queue.front());
-      victim->queue.pop_front();
-      victim->queue_size.fetch_sub(1, std::memory_order_relaxed);
-    }
-    victim->drained.notify_all();  // the pop made room for producers
-    return victim;
-  }
-
-  /// Marks `ticket` absorbed against its home shard and advances the
-  /// completion watermark across any previously parked completions.
-  void CompleteTicket(Shard* home, uint64_t ticket) {
-    {
-      std::lock_guard<std::mutex> lock(home->mu);
-      if (ticket == home->absorbed + 1) {
-        ++home->absorbed;
-        auto it = home->done_tickets.begin();
-        while (it != home->done_tickets.end() &&
-               *it == home->absorbed + 1) {
-          ++home->absorbed;
-          it = home->done_tickets.erase(it);
-        }
-      } else {
-        home->done_tickets.insert(ticket);
-      }
-    }
-    batches_absorbed_.fetch_add(1, std::memory_order_release);
-    home->queue_depth->Add(-1);
-    home->drained.notify_all();
-  }
-
-  /// Where DispatchTo actually placed a batch: the ticket is only
-  /// meaningful against that shard's watermark.
-  struct Placed {
-    size_t shard = 0;
-    uint64_t ticket = 0;
-  };
-
-  /// Queues one batch, preferring `preferred` but overflowing to the
-  /// next shard with room when it is full (shard affinity, not strict
-  /// round-robin): a saturated shard must not park the producer while
-  /// other queues sit idle. Only when every queue is full does the
-  /// producer block — on its preferred shard, as before. Thread-safe;
-  /// concurrent producers contend only on the probed shards' mutexes.
-  Placed DispatchTo(size_t preferred, std::vector<Item> batch) {
-    const size_t num_shards = shards_.size();
-    const size_t probes = options_.enable_work_stealing ? num_shards : 1;
-    for (size_t attempt = 0; attempt < probes; ++attempt) {
-      const size_t index = (preferred + attempt) % num_shards;
-      Shard& shard = *shards_[index];
-      if (attempt > 0 && shard.queue_size.load(std::memory_order_relaxed) >=
-                             options_.max_queued_batches) {
-        continue;  // visibly full: skip without taking the lock
-      }
-      std::unique_lock<std::mutex> lock(shard.mu);
-      if (shard.queue.size() >= options_.max_queued_batches) continue;
-      return EnqueueLocked(index, std::move(batch), lock);
-    }
-    // Every queue is full: block on the preferred shard until a worker
-    // (or thief) makes room.
-    Shard& shard = *shards_[preferred];
-    std::unique_lock<std::mutex> lock(shard.mu);
-    if (shard.queue.size() >= options_.max_queued_batches) {
+  /// Appends one batch to the shared queue, blocking while it is full
+  /// (backpressure). Returns the batch's ticket. Thread-safe.
+  uint64_t Dispatch(std::vector<Item> batch) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (queue_.size() >= queue_capacity()) {
       engine_obs::Get().enqueue_blocks->Increment();
       obs::ScopedLatencyUs wait_timer(engine_obs::Get().enqueue_block_us);
-      shard.drained.wait(lock, [this, &shard] {
-        return shard.queue.size() < options_.max_queued_batches;
-      });
+      progress_.wait(lock,
+                     [this] { return queue_.size() < queue_capacity(); });
     }
-    return EnqueueLocked(preferred, std::move(batch), lock);
-  }
-
-  /// Second half of DispatchTo: push under the already-held shard lock,
-  /// then notify outside it.
-  Placed EnqueueLocked(size_t index, std::vector<Item> batch,
-                       std::unique_lock<std::mutex>& lock) {
-    Shard& shard = *shards_[index];
-    const uint64_t ticket = ++shard.enqueued;
-    shard.queue.push_back(QueuedBatch{ticket, std::move(batch)});
-    shard.queue_size.fetch_add(1, std::memory_order_relaxed);
-    batches_enqueued_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t ticket = ++issued_;
+    queue_.push_back(QueuedBatch{ticket, std::move(batch)});
+    engine_obs::Get().queue_depth->Add(1);
     lock.unlock();
-    shard.queue_depth->Add(1);
-    shard.work_ready.notify_one();
-    return Placed{index, ticket};
+    work_ready_.notify_one();
+    return ticket;
   }
 
-  /// Blocks until, on every shard, the absorb count has reached the given
-  /// ticket (0 = nothing to wait for on that shard).
-  void AwaitTickets(const std::vector<uint64_t>& tickets) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (tickets[i] == 0) continue;
-      Shard& shard = *shards_[i];
-      std::unique_lock<std::mutex> lock(shard.mu);
-      const uint64_t target = tickets[i];
-      shard.drained.wait(
-          lock, [&shard, target] { return shard.absorbed >= target; });
-    }
+  /// Requires mu_, held by `lock`. Blocks until every batch with a ticket
+  /// <= `ticket` has been absorbed. Tickets rise front to back in the
+  /// FIFO, so such a batch is pending exactly when it is still at the
+  /// queue front or sits in some worker's `absorbing` slot; later
+  /// batches never hold the wait up.
+  void AwaitAbsorbedLocked(uint64_t ticket,
+                           std::unique_lock<std::mutex>& lock) {
+    progress_.wait(lock, [this, ticket] {
+      if (!queue_.empty() && queue_.front().ticket <= ticket) return false;
+      for (const auto& shard : shards_) {
+        if (shard->absorbing != 0 && shard->absorbing <= ticket) return false;
+      }
+      return true;
+    });
   }
 
   /// Requires cache_mu_. Incremental validity rule (docs/engine.md):
@@ -761,17 +540,18 @@ class ShardedEngine {
 
   ReplicaFactory factory_;
   ShardedEngineOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> items_{0};
-  std::atomic<size_t> producers_made_{0};
-  // Mirrors of the per-shard enqueued/absorbed counts so
-  // queued_batches() and Flush()'s quiescent fast path never touch a
-  // shard mutex. Enqueue is bumped under the shard lock; absorb
-  // (release) after the items are published — see queued_batches() and
-  // Flush().
-  std::atomic<uint64_t> batches_enqueued_{0};
-  std::atomic<uint64_t> batches_absorbed_{0};
-  std::atomic<uint64_t> batches_stolen_{0};
+
+  mutable std::mutex mu_;  // guards the queue state below + Shard::absorbing
+  std::condition_variable work_ready_;  // producers -> workers
+  std::condition_variable progress_;    // workers -> blocked producers, flush
+  std::deque<QueuedBatch> queue_;       // tickets rise front to back
+  uint64_t issued_ = 0;                 // last ticket issued
+  uint64_t absorbed_ = 0;               // batches fully absorbed
+  bool stop_ = false;
+
+  // After the queue state: the workers use it until joined.
+  std::vector<std::unique_ptr<Shard>> shards_;
 
   std::mutex cache_mu_;  // guards cached_, cache_shard_gen_, cache_built_
   std::optional<Sketch> cached_;
@@ -852,7 +632,7 @@ class ShardedF0Engine {
     return core_.Estimate();
   }
 
-  /// Merge without draining the queues; see ShardedEngine::SnapshotSketch.
+  /// Merge without draining the queue; see ShardedEngine::SnapshotSketch.
   F0Estimator SnapshotSketch() { return core_.SnapshotSketch(); }
   double SnapshotEstimate() { return core_.SnapshotEstimate(); }
 
@@ -869,7 +649,10 @@ class ShardedF0Engine {
   uint64_t cache_partial_rebuilds() const {
     return core_.cache_partial_rebuilds();
   }
-  uint64_t batches_stolen() const { return core_.batches_stolen(); }
+  /// Always 0: the shared queue has no batch owner to steal from. Kept
+  /// for the `engine.batches_stolen_share` detail that
+  /// bench/mcf0_bench/layers.cpp still reads.
+  uint64_t batches_stolen() const { return 0; }
   uint64_t queued_batches() const { return core_.queued_batches(); }
   uint64_t queue_capacity() const { return core_.queue_capacity(); }
 
@@ -893,8 +676,7 @@ class ShardedStructuredEngine {
         core_([params] { return StructuredF0(params); }, num_shards,
               // Structured items are whole sets — per-item work dwarfs the
               // queue handoff, so batches stay small to keep shards busy.
-              ShardedEngineOptions{.batch_size = 16,
-                                   .max_queued_batches = 64}),
+              ShardedEngineOptions{.batch_size = 16}),
         producer_(core_.MakeProducer()) {}
 
   /// One stream item per call, on the built-in producer handle.
@@ -942,7 +724,9 @@ class ShardedStructuredEngine {
   uint64_t cache_partial_rebuilds() const {
     return core_.cache_partial_rebuilds();
   }
-  uint64_t batches_stolen() const { return core_.batches_stolen(); }
+  /// Always 0, like ShardedF0Engine::batches_stolen(); kept for
+  /// bench/mcf0_bench/layers.cpp.
+  uint64_t batches_stolen() const { return 0; }
   uint64_t queued_batches() const { return core_.queued_batches(); }
   uint64_t queue_capacity() const { return core_.queue_capacity(); }
 

@@ -205,7 +205,7 @@ Status SketchServer::Run() {
 
     // A short timeout while any client sits below a full window keeps
     // credit grants flowing even with no inbound traffic (the engine
-    // drains its queues without notifying the loop). Draining also
+    // drains its queue without notifying the loop). Draining also
     // polls on a bound so the deadline fires.
     int timeout_ms = -1;
     for (const auto& conn : connections_) {

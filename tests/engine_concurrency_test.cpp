@@ -13,10 +13,12 @@
 // shards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -231,7 +233,7 @@ TEST(ShardedEngineCacheTest, SingleShardUpdateTriggersPartialRebuild) {
   const F0Params params = SmallParams(F0Algorithm::kMinimum);
   ShardedF0Engine engine(params, 4);
   const std::vector<uint64_t> xs = RandomStream(2048, 15, 78);
-  // Eight single-batch dispatches round-robin across the four shards.
+  // Eight single-batch dispatches, spread over whichever workers are free.
   for (int i = 0; i < 8; ++i) engine.AddBatch(xs);
 
   EXPECT_DOUBLE_EQ(engine.Estimate(), 15.0);
@@ -259,6 +261,8 @@ struct AbsorbGate {
   std::mutex mu;
   std::condition_variable cv;
   bool open = true;
+  uint64_t gated_from = 0;  // smaller items pass even while closed
+  int parked = 0;           // absorbs currently blocked at the gate
 
   void Set(bool value) {
     {
@@ -267,9 +271,17 @@ struct AbsorbGate {
     }
     cv.notify_all();
   }
-  void Await() {
+  void Await(uint64_t x) {
     std::unique_lock<std::mutex> lock(mu);
+    if (x < gated_from) return;
+    ++parked;
+    cv.notify_all();
     cv.wait(lock, [this] { return open; });
+    --parked;
+  }
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return parked > 0; });
   }
 };
 
@@ -284,7 +296,7 @@ struct GatedSketch {
 };
 
 void AbsorbItem(GatedSketch& sketch, uint64_t x) {
-  sketch.gate->Await();
+  sketch.gate->Await(x);
   sketch.seen.push_back(x);
 }
 
@@ -337,27 +349,66 @@ TEST(ShardedEngineCacheTest, QueuedBatchesDoNotThrashTheCache) {
   EXPECT_EQ(engine.cache_rebuilds(), 2u);
 }
 
-// ---- shard-affinity work stealing -----------------------------------------
+// ---- flush exactness under in-flight batches ------------------------------
+
+TEST(MultiProducerEngineTest, ProducerFlushIgnoresLaterInFlightBatch) {
+  // Tickets come from one engine-wide sequence: a producer's Flush()
+  // waits for batches ticketed up to its own last one, never for a later
+  // batch of another producer — not even one stuck mid-absorb.
+  AbsorbGate gate;
+  gate.gated_from = 2;  // only b's item parks at the gate
+  ShardedEngine<GatedSketch, uint64_t> engine(
+      [&gate] {
+        GatedSketch sketch;
+        sketch.gate = &gate;
+        return sketch;
+      },
+      2);
+  auto a = engine.MakeProducer();
+  auto b = engine.MakeProducer();
+  gate.Set(false);
+  const uint64_t mine = 1;
+  const uint64_t later = 2;
+  ASSERT_TRUE(a.AddBatch({&mine, 1}).ok());
+  ASSERT_TRUE(b.AddBatch({&later, 1}).ok());
+  gate.AwaitParked();  // b's batch has left the queue and is absorbing
+
+  auto flushed = std::async(std::launch::async, [&a] { a.Flush(); });
+  const bool returned = flushed.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  gate.Set(true);  // release b either way, so a failure cannot hang
+  flushed.get();
+  EXPECT_TRUE(returned) << "a.Flush() waited on b's later batch";
+
+  b.Flush();
+  EXPECT_DOUBLE_EQ(engine.SnapshotEstimate(), 2.0);
+}
+
+// ---- skewed replicas on the shared queue ----------------------------------
 
 // An F0Estimator wrapper whose first-built replica absorbs slowly — the
-// deterministic skewed-shard scenario. The slowness lives in the test
-// type, not the engine, so stealing is exercised against the unchanged
-// union guarantee. The factory is called once per shard in construction
-// order (then once per merge target), so tagging the first call slows
-// exactly shard 0.
+// deterministic skewed-replica scenario. The slowness lives in the test
+// type, not the engine, so the shared queue is exercised against the
+// unchanged union guarantee. The factory is called once per shard in
+// construction order (then once per merge target), so tagging the first
+// call slows exactly shard 0. `slow_items` counts what that replica
+// absorbed; Merge keeps the max, so cache refolds leave it exact.
 struct SlowShardSketch {
   F0Estimator inner;
   bool slow = false;
+  uint64_t slow_items = 0;
 };
 
 void AbsorbItem(SlowShardSketch& sketch, uint64_t x) {
   if (sketch.slow) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ++sketch.slow_items;
   }
   sketch.inner.Add(x);
 }
 
 Status Merge(SlowShardSketch& into, const SlowShardSketch& from) {
+  into.slow_items = std::max(into.slow_items, from.slow_items);
   return Merge(into.inner, from.inner);
 }
 
@@ -370,44 +421,56 @@ ShardedEngine<SlowShardSketch, uint64_t>::ReplicaFactory SlowShardFactory(
   };
 }
 
-TEST(WorkStealingTest, SkewedShardStaysByteIdenticalAndSteals) {
-  // One slow shard, four producers: the slow shard's queue runs deep
-  // while the other workers go idle, so batches get stolen — and the
-  // merged sketch must still be byte-identical to a sequential pass,
-  // because any split of the stream merges to the same union.
+// Four producers stream `xs` in batches of 16 into four shards, the first
+// of them slow; returns the merged sketch.
+SlowShardSketch IngestWithSlowShard(const F0Params& params,
+                                    const std::vector<uint64_t>& xs) {
+  auto built = std::make_shared<std::atomic<int>>(0);
+  ShardedEngineOptions options;
+  options.batch_size = 16;
+  ShardedEngine<SlowShardSketch, uint64_t> engine(
+      SlowShardFactory(params, built), 4, options);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < 4; ++p) {
+    threads.emplace_back([&engine, &xs, p] {
+      auto producer = engine.MakeProducer();
+      const auto [begin, end] = Slice(xs.size(), 4, p);
+      for (size_t i = begin; i < end; ++i) producer.Add(xs[i]);
+      producer.Flush();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  return engine.MergedSketch();
+}
+
+TEST(SkewedReplicaTest, SkewedShardStaysByteIdentical) {
+  // Whichever worker absorbs a batch, the merged sketch must be
+  // byte-identical to a sequential pass: any split of the stream merges
+  // to the same union.
   const F0Params params = SmallParams(F0Algorithm::kMinimum);
   const std::vector<uint64_t> xs = RandomStream(6400, 900, 83);
 
   F0Estimator sequential(params);
   for (const uint64_t x : xs) sequential.Add(x);
 
-  auto built = std::make_shared<std::atomic<int>>(0);
-  ShardedEngineOptions options;
-  options.batch_size = 16;
-  ShardedEngine<SlowShardSketch, uint64_t> engine(
-      SlowShardFactory(params, built), 4, options);
-  {
-    std::vector<std::thread> threads;
-    for (int p = 0; p < 4; ++p) {
-      threads.emplace_back([&engine, &xs, p] {
-        auto producer = engine.MakeProducer();
-        const auto [begin, end] = Slice(xs.size(), 4, p);
-        for (size_t i = begin; i < end; ++i) producer.Add(xs[i]);
-        producer.Flush();
-      });
-    }
-    for (auto& thread : threads) thread.join();
-  }
-  EXPECT_GT(engine.batches_stolen(), 0u);
-  SlowShardSketch merged = engine.MergedSketch();
+  const SlowShardSketch merged = IngestWithSlowShard(params, xs);
   EXPECT_EQ(SketchCodec::Encode(merged.inner), SketchCodec::Encode(sequential));
 }
 
-TEST(WorkStealingTest, FlushCoversExactlyOwnBatchesUnderSteals) {
-  // Per-producer Flush isolation with steals in play: tickets follow the
-  // shard a batch was enqueued on, and the completion watermark tolerates
-  // out-of-order absorbs, so a flushed producer observes all of its own
-  // items — and none of another producer's unflushed buffer.
+TEST(SkewedReplicaTest, SlowReplicaTakesLessThanItsShare) {
+  // Fixed placement would hand the slow replica a quarter of the stream;
+  // on the shared queue the fast workers take the batches it is too slow
+  // to reach.
+  const F0Params params = SmallParams(F0Algorithm::kMinimum);
+  const std::vector<uint64_t> xs = RandomStream(6400, 900, 83);
+  const SlowShardSketch merged = IngestWithSlowShard(params, xs);
+  EXPECT_LT(merged.slow_items, xs.size() / 4);
+}
+
+TEST(SkewedReplicaTest, FlushCoversExactlyOwnBatches) {
+  // Per-producer Flush isolation with a slow replica in play: a flushed
+  // producer observes all of its own items, whichever workers absorbed
+  // them — and none of another producer's unflushed buffer.
   const F0Params params = SmallParams(F0Algorithm::kBucketing);
   auto built = std::make_shared<std::atomic<int>>(0);
   ShardedEngineOptions options;
@@ -420,7 +483,7 @@ TEST(WorkStealingTest, FlushCoversExactlyOwnBatchesUnderSteals) {
   const std::vector<uint64_t> mine = RandomStream(1600, 400, 84);
   for (const uint64_t x : mine) loud.Add(x);
   quiet.Add(1);  // stays in quiet's private buffer: not yet in the stream
-  loud.Flush();  // must cover loud's stolen batches too
+  loud.Flush();  // must cover batches the slow replica is still absorbing
 
   F0Estimator sequential(params);
   for (const uint64_t x : mine) sequential.Add(x);
@@ -433,10 +496,10 @@ TEST(WorkStealingTest, FlushCoversExactlyOwnBatchesUnderSteals) {
             SketchCodec::Encode(sequential));
 }
 
-TEST(WorkStealingTest, BatchedAbsorbsStayByteIdenticalAndFlushExact) {
+TEST(SkewedReplicaTest, BatchedAbsorbsStayByteIdenticalAndFlushExact) {
   // The worker absorb site hands whole queue batches to AbsorbBatch — for
   // F0Estimator that is the span-Add fast path through the gf2k batch
-  // kernels. Small batches, four producers, stealing on: the merged
+  // kernels. Small batches, four producers, three workers: the merged
   // sketch must stay byte-identical to a scalar item-by-item sequential
   // pass for every algorithm, and a producer's Flush() must still cover
   // exactly its own batches and nothing buffered elsewhere.
@@ -467,7 +530,7 @@ TEST(WorkStealingTest, BatchedAbsorbsStayByteIdenticalAndFlushExact) {
             i += len;
             chunk = chunk * 2 + 1;
           }
-          producer.Flush();  // covers stolen batches too
+          producer.Flush();
         });
       }
       for (auto& thread : threads) thread.join();
@@ -488,7 +551,7 @@ TEST(WorkStealingTest, BatchedAbsorbsStayByteIdenticalAndFlushExact) {
 }
 
 // The structured analogue: a slow StructuredF0 replica, byte-identity
-// under steals for §5 set-stream items.
+// for §5 set-stream items.
 struct SlowStructuredSketch {
   StructuredF0 inner;
   bool slow = false;
@@ -505,7 +568,7 @@ Status Merge(SlowStructuredSketch& into, const SlowStructuredSketch& from) {
   return Merge(into.inner, from.inner);
 }
 
-TEST(WorkStealingTest, StructuredStreamStaysByteIdenticalUnderSteals) {
+TEST(SkewedReplicaTest, StructuredStreamStaysByteIdentical) {
   StructuredF0Params params;
   params.n = 12;
   params.eps = 0.8;
@@ -542,7 +605,6 @@ TEST(WorkStealingTest, StructuredStreamStaysByteIdenticalUnderSteals) {
     }
     for (auto& thread : threads) thread.join();
   }
-  EXPECT_GT(engine.batches_stolen(), 0u);
   SlowStructuredSketch merged = engine.MergedSketch();
   EXPECT_EQ(SketchCodec::Encode(merged.inner), SketchCodec::Encode(single));
 }
