@@ -198,7 +198,8 @@ void AbsorbItem(SlowShardSketch& sketch, uint64_t x) {
     // A synthetic per-item stall roughly 10x a Bucketing absorb
     // (~6us/item); compute rather than sleep, so the skew is CPU-shaped
     // and survives scheduler jitter.
-    for (volatile int spin = 0; spin < 70000; ++spin) {
+    for (volatile int spin = 0; spin < 70000;) {
+      spin = spin + 1;
     }
   }
   sketch.inner.Add(x);

@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
 
   // Telemetry overhead: the full serve path with the registry live vs.
   // the runtime kill switch (every metric op reduced to one relaxed
-  // load + branch — the in-process stand-in for -DMCF0_OBS_DISABLED).
+  // load + branch).
   // Rounds alternate on/off so drift hits both arms alike; medians of 5
   // are compared and the CI gate demands the live registry stays within
   // 3% of the disabled baseline.

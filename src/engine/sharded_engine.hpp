@@ -73,7 +73,6 @@
 #include "common/status.hpp"
 #include "engine/sketch_merge.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "formula/formula.hpp"
 #include "setstream/range.hpp"
 #include "setstream/structured_f0.hpp"
@@ -443,7 +442,6 @@ class ShardedEngine {
       // (possibly long) absorb.
       progress_.notify_all();
       {
-        MCF0_TRACE_SPAN("engine.absorb_batch");
         obs::ScopedLatencyUs absorb_timer(engine_obs::Get().absorb_batch_us);
         std::lock_guard<std::mutex> sketch_lock(self->sketch_mu);
         AbsorbBatch(self->sketch, std::span<const Item>(batch.items));

@@ -8,59 +8,40 @@
 #include "engine/wire.hpp"
 
 namespace mcf0 {
-namespace {
 
-bool ValidVersion(uint16_t version) {
-  return version == SketchCodec::kFormatV1 ||
-         version == SketchCodec::kFormatV2;
+std::string SketchCodec::Encode(const BucketingSketchRow& row) {
+  wire::ByteWriter w;
+  wire::EncodeBucketingPayload(w, row, /*embed_hash=*/true);
+  return wire::WrapFrame(SketchFrameKind::kBucketingRow, kFormatV2, w.Take());
 }
 
-}  // namespace
-
-std::string SketchCodec::Encode(const BucketingSketchRow& row,
-                                uint16_t version) {
-  MCF0_CHECK(ValidVersion(version));
+std::string SketchCodec::Encode(const MinimumSketchRow& row) {
   wire::ByteWriter w;
-  wire::EncodeBucketingPayload(w, row, version, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kBucketingRow, version, w.Take());
+  wire::EncodeMinimumPayload(w, row, /*embed_hash=*/true);
+  return wire::WrapFrame(SketchFrameKind::kMinimumRow, kFormatV2, w.Take());
 }
 
-std::string SketchCodec::Encode(const MinimumSketchRow& row,
-                                uint16_t version) {
-  MCF0_CHECK(ValidVersion(version));
+std::string SketchCodec::Encode(const EstimationSketchRow& row) {
   wire::ByteWriter w;
-  wire::EncodeMinimumPayload(w, row, version, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kMinimumRow, version, w.Take());
+  wire::EncodeEstimationPayload(w, row, /*embed_hash=*/true);
+  return wire::WrapFrame(SketchFrameKind::kEstimationRow, kFormatV2, w.Take());
 }
 
-std::string SketchCodec::Encode(const EstimationSketchRow& row,
-                                uint16_t version) {
-  MCF0_CHECK(ValidVersion(version));
+std::string SketchCodec::Encode(const FlajoletMartinRow& row) {
   wire::ByteWriter w;
-  wire::EncodeEstimationPayload(w, row, version, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kEstimationRow, version, w.Take());
-}
-
-std::string SketchCodec::Encode(const FlajoletMartinRow& row,
-                                uint16_t version) {
-  MCF0_CHECK(ValidVersion(version));
-  wire::ByteWriter w;
-  wire::EncodeFmPayload(w, row, version, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kFlajoletMartinRow, version,
+  wire::EncodeFmPayload(w, row, /*embed_hash=*/true);
+  return wire::WrapFrame(SketchFrameKind::kFlajoletMartinRow, kFormatV2,
                          w.Take());
 }
 
-std::string SketchCodec::Encode(const StructuredBucketRow& row,
-                                uint16_t version) {
-  MCF0_CHECK(version == kFormatV2);  // structured frames are v2-only
+std::string SketchCodec::Encode(const StructuredBucketRow& row) {
   wire::ByteWriter w;
-  wire::EncodeStructuredBucketPayload(w, row, version, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kStructuredBucketRow, version,
+  wire::EncodeStructuredBucketPayload(w, row, /*embed_hash=*/true);
+  return wire::WrapFrame(SketchFrameKind::kStructuredBucketRow, kFormatV2,
                          w.Take());
 }
 
-std::string SketchCodec::Encode(const StructuredF0& sketch, uint16_t version) {
-  MCF0_CHECK(version == kFormatV2);  // structured frames are v2-only
+std::string SketchCodec::Encode(const StructuredF0& sketch) {
   // The same elision rule as raw estimators: hash state vanishes when it
   // is attested (or proven) to match the canonical sampler replay — and
   // when the replay itself is affordable for a decoder driven by the
@@ -78,20 +59,18 @@ std::string SketchCodec::Encode(const StructuredF0& sketch, uint16_t version) {
                    : sketch.bucketing_rows().size());
   if (minimum) {
     for (const auto& row : sketch.minimum_rows()) {
-      wire::EncodeMinimumPayload(w, row, version, !elide);
+      wire::EncodeMinimumPayload(w, row, !elide);
     }
   } else {
     for (const auto& row : sketch.bucketing_rows()) {
-      wire::EncodeStructuredBucketPayload(w, row, version, !elide);
+      wire::EncodeStructuredBucketPayload(w, row, !elide);
     }
   }
-  return wire::WrapFrame(SketchFrameKind::kStructuredF0, version, w.Take());
+  return wire::WrapFrame(SketchFrameKind::kStructuredF0, kFormatV2, w.Take());
 }
 
-std::string SketchCodec::Encode(const F0Estimator& est, uint16_t version) {
-  MCF0_CHECK(ValidVersion(version));
-  const bool v1 = version == kFormatV1;
-  // v2 elides all hash state when it matches the canonical F0RowSampler
+std::string SketchCodec::Encode(const F0Estimator& est) {
+  // Hash state is elided when it matches the canonical F0RowSampler
   // draws for these parameters. The common case is O(state): a freshly
   // constructed or canonically decoded estimator carries a
   // hashes_canonical attestation (see F0Estimator::Parts) and skips the
@@ -100,7 +79,6 @@ std::string SketchCodec::Encode(const F0Estimator& est, uint16_t version) {
   // do Estimation sketches whose per-row hash state exceeds the decoder's
   // replay allocation cap (files the codec writes must stay readable).
   const bool elide =
-      !v1 &&
       (est.params().algorithm != F0Algorithm::kEstimation ||
        F0Thresh(est.params()) *
                static_cast<uint64_t>(F0IndependenceS(est.params())) <=
@@ -108,35 +86,34 @@ std::string SketchCodec::Encode(const F0Estimator& est, uint16_t version) {
       (est.hashes_canonical() || wire::HashesMatchCanonicalSample(est));
   wire::ByteWriter w;
   wire::EncodeParams(w, est.params());
-  if (!v1) w.U8(elide ? 1 : 0);
-  auto count = [&](size_t rows) { w.Count(version, rows); };
+  w.U8(elide ? 1 : 0);
   switch (est.params().algorithm) {
     case F0Algorithm::kBucketing:
-      count(est.bucketing_rows().size());
+      w.Varint(est.bucketing_rows().size());
       for (const auto& row : est.bucketing_rows()) {
-        wire::EncodeBucketingPayload(w, row, version, !elide);
+        wire::EncodeBucketingPayload(w, row, !elide);
       }
       break;
     case F0Algorithm::kMinimum:
-      count(est.minimum_rows().size());
+      w.Varint(est.minimum_rows().size());
       for (const auto& row : est.minimum_rows()) {
-        wire::EncodeMinimumPayload(w, row, version, !elide);
+        wire::EncodeMinimumPayload(w, row, !elide);
       }
       break;
     case F0Algorithm::kEstimation:
-      w.Count(version, static_cast<uint64_t>(est.field()->degree()));
+      w.Varint(static_cast<uint64_t>(est.field()->degree()));
       w.U64(est.field()->modulus_low());
-      count(est.estimation_rows().size());
+      w.Varint(est.estimation_rows().size());
       for (const auto& row : est.estimation_rows()) {
-        wire::EncodeEstimationPayload(w, row, version, !elide);
+        wire::EncodeEstimationPayload(w, row, !elide);
       }
-      count(est.fm_rows().size());
+      w.Varint(est.fm_rows().size());
       for (const auto& row : est.fm_rows()) {
-        wire::EncodeFmPayload(w, row, version, !elide);
+        wire::EncodeFmPayload(w, row, !elide);
       }
       break;
   }
-  return wire::WrapFrame(SketchFrameKind::kF0Estimator, version, w.Take());
+  return wire::WrapFrame(SketchFrameKind::kF0Estimator, kFormatV2, w.Take());
 }
 
 Result<uint16_t> SketchCodec::PeekFormatVersion(std::string_view bytes) {
@@ -337,10 +314,9 @@ bool SketchVariant::hashes_canonical() const {
       [](const auto& sketch) { return sketch.hashes_canonical(); }, sketch_);
 }
 
-std::string SketchVariant::Encode(uint16_t version) const {
+std::string SketchVariant::Encode() const {
   return std::visit(
-      [&](const auto& sketch) { return SketchCodec::Encode(sketch, version); },
-      sketch_);
+      [](const auto& sketch) { return SketchCodec::Encode(sketch); }, sketch_);
 }
 
 }  // namespace mcf0

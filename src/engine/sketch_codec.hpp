@@ -15,17 +15,16 @@
 ///   bytes 16-23 FNV-1a-64 checksum of the payload (uint64)
 ///   bytes 24-   payload
 ///
-/// Version 1 serializes hash-function state in full (dense matrix rows),
-/// so a decoded sketch is self-contained. Version 2 keeps that property
-/// while shrinking the bytes: Toeplitz hashes ship their n + m - 1 bit
-/// diagonal seed instead of m dense rows, polynomial hashes pack their
-/// coefficient lists to the field width, sorted element/value sets are
-/// delta + varint coded (KMV values as n-bit preimages where they exist),
-/// and a whole-estimator frame whose hashes match what F0RowSampler
-/// derives from its own parameters elides hash state entirely. Decoding
-/// dispatches on the header's version byte — v1 files stay readable
-/// forever — and encoding takes the version as an escape hatch
-/// (`mcf0 sketch build --format v1`).
+/// Encoding always writes version 2. Version 1 serialized hash-function
+/// state in full (dense matrix rows); version 2 keeps decoded sketches
+/// self-contained while shrinking the bytes: Toeplitz hashes ship their
+/// n + m - 1 bit diagonal seed instead of m dense rows, polynomial hashes
+/// pack their coefficient lists to the field width, sorted element/value
+/// sets are delta + varint coded (KMV values as n-bit preimages where
+/// they exist), and a whole-estimator frame whose hashes match what
+/// F0RowSampler derives from its own parameters elides hash state
+/// entirely. Decoding dispatches on the header's version byte, so v1
+/// files stay readable forever.
 ///
 /// Decoding never aborts on bad input: truncated buffers, corrupt bytes,
 /// bad magic/version/kind, checksum mismatches, and out-of-domain field
@@ -44,8 +43,8 @@
 namespace mcf0 {
 
 /// Frame kind byte: which object a serialized blob holds. Kinds 5 and 6
-/// (structured sketches, §5 streams) exist only at format v2 — v1 is
-/// frozen and predates them.
+/// (structured sketches, §5 streams) exist only at format v2 — v1
+/// predates them.
 enum class SketchFrameKind : uint8_t {
   kF0Estimator = 0,
   kBucketingRow = 1,
@@ -56,36 +55,28 @@ enum class SketchFrameKind : uint8_t {
   kStructuredBucketRow = 6,
 };
 
-/// Stateless encode/decode for every sketch type. Encodings are canonical
-/// per version: two sketches with equal state produce byte-identical blobs
+/// Stateless encode/decode for every sketch type. Encodings are
+/// canonical: two sketches with equal state produce byte-identical blobs
 /// (unordered containers are sorted on the way out), so blob equality is
 /// state equality — the merge-algebra tests rely on this.
 class SketchCodec {
  public:
-  /// v1: dense hash state, fixed-width integers. Frozen; never changes.
+  /// v1: dense hash state, fixed-width integers. Read-only: decoded,
+  /// never written.
   static constexpr uint16_t kFormatV1 = 1;
-  /// v2: seed-compressed hashes, delta + varint coded sets.
+  /// v2: seed-compressed hashes, delta + varint coded sets. The only
+  /// version Encode writes.
   static constexpr uint16_t kFormatV2 = 2;
-  /// What Encode writes when the caller does not pick a version.
+  /// Kept only for bench/mcf0_bench/layers.cpp's MergeSketchStreams call.
   static constexpr uint16_t kDefaultFormatVersion = kFormatV2;
 
-  static std::string Encode(const F0Estimator& est,
-                            uint16_t version = kDefaultFormatVersion);
-  static std::string Encode(const BucketingSketchRow& row,
-                            uint16_t version = kDefaultFormatVersion);
-  static std::string Encode(const MinimumSketchRow& row,
-                            uint16_t version = kDefaultFormatVersion);
-  static std::string Encode(const EstimationSketchRow& row,
-                            uint16_t version = kDefaultFormatVersion);
-  static std::string Encode(const FlajoletMartinRow& row,
-                            uint16_t version = kDefaultFormatVersion);
-  /// Structured sketches (§5 streams) serialize at v2 only; passing v1 is
-  /// a programming error (the CLI rejects `--format v1 --input dnf|range`
-  /// up front).
-  static std::string Encode(const StructuredF0& sketch,
-                            uint16_t version = kDefaultFormatVersion);
-  static std::string Encode(const StructuredBucketRow& row,
-                            uint16_t version = kDefaultFormatVersion);
+  static std::string Encode(const F0Estimator& est);
+  static std::string Encode(const BucketingSketchRow& row);
+  static std::string Encode(const MinimumSketchRow& row);
+  static std::string Encode(const EstimationSketchRow& row);
+  static std::string Encode(const FlajoletMartinRow& row);
+  static std::string Encode(const StructuredF0& sketch);
+  static std::string Encode(const StructuredBucketRow& row);
 
   static Result<F0Estimator> DecodeF0Estimator(std::string_view bytes);
   static Result<StructuredF0> DecodeStructuredF0(std::string_view bytes);
@@ -132,8 +123,7 @@ class SketchVariant {
   double Estimate() const;
   size_t SpaceBits() const;
   bool hashes_canonical() const;
-  std::string Encode(uint16_t version = SketchCodec::kDefaultFormatVersion)
-      const;
+  std::string Encode() const;
 
   /// The held sketch; the kind must match (checked).
   const F0Estimator& raw() const { return std::get<F0Estimator>(sketch_); }

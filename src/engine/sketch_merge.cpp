@@ -38,20 +38,20 @@ Status MergeUnits(SketchReader::Unit& acc, const SketchReader::Unit& from) {
 
 /// Serializes one merged row in whole-sketch-frame context.
 void EncodeUnit(wire::ByteWriter& w, const SketchReader::Unit& unit,
-                uint16_t version, bool embed_hash) {
+                bool embed_hash) {
   std::visit(
       [&](const auto& row) {
         using Row = std::decay_t<decltype(row)>;
         if constexpr (std::is_same_v<Row, BucketingSketchRow>) {
-          wire::EncodeBucketingPayload(w, row, version, embed_hash);
+          wire::EncodeBucketingPayload(w, row, embed_hash);
         } else if constexpr (std::is_same_v<Row, MinimumSketchRow>) {
-          wire::EncodeMinimumPayload(w, row, version, embed_hash);
+          wire::EncodeMinimumPayload(w, row, embed_hash);
         } else if constexpr (std::is_same_v<Row, EstimationSketchRow>) {
-          wire::EncodeEstimationPayload(w, row, version, embed_hash);
+          wire::EncodeEstimationPayload(w, row, embed_hash);
         } else if constexpr (std::is_same_v<Row, StructuredBucketRow>) {
-          wire::EncodeStructuredBucketPayload(w, row, version, embed_hash);
+          wire::EncodeStructuredBucketPayload(w, row, embed_hash);
         } else {
-          wire::EncodeFmPayload(w, row, version, embed_hash);
+          wire::EncodeFmPayload(w, row, embed_hash);
         }
       },
       unit);
@@ -228,10 +228,7 @@ Status Merge(SketchVariant& into, const SketchVariant& from) {
 }
 
 Result<SketchStreamMergeStats> MergeSketchStreams(
-    const std::vector<LabeledSource>& inputs, uint16_t out_version,
-    std::ostream& out) {
-  MCF0_CHECK(out_version == SketchCodec::kFormatV1 ||
-             out_version == SketchCodec::kFormatV2);
+    const std::vector<LabeledSource>& inputs, std::ostream& out) {
   if (inputs.empty()) {
     return Status::InvalidArgument("sketch merge needs at least one input");
   }
@@ -244,18 +241,22 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
   };
   std::vector<SketchReader> readers;
   readers.reserve(inputs.size());
-  bool all_elided = true;
+  // Elide hash state only when *every* input frame attested canonical
+  // hashes — then each decoded hash (matrices, offsets, and
+  // representation-bit counts alike) came from the canonical sampler, so
+  // the merged frame round-trips exactly. A partial attestation would
+  // almost work (Merge() proves matrix/offset equality row by row), but
+  // AffineHash::operator== ignores representation bits, so an embedded
+  // input could smuggle nonstandard repr counts into an elided output.
+  // With any embedded input, stay conservative and embed.
+  bool elide = true;
   for (size_t i = 0; i < inputs.size(); ++i) {
     auto opened = SketchReader::Open(inputs[i].bytes);
     if (!opened.ok()) return attributed(i, opened.status());
     readers.push_back(std::move(opened).value());
-    all_elided = all_elided && readers.back().hashes_elided();
+    elide = elide && readers.back().hashes_elided();
   }
   const bool structured = readers.front().structured();
-  if (structured && out_version == SketchCodec::kFormatV1) {
-    return Status::NotSupported(
-        "structured sketch frames require format v2 output");
-  }
   for (size_t i = 1; i < readers.size(); ++i) {
     if (readers[i].structured() != structured) {
       if (inputs[i].name.empty()) return Incompatible("F0 sketches");
@@ -279,25 +280,12 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
           "seed)");
     }
   }
-  // Elide hash state only when *every* input frame attested canonical
-  // hashes — then each decoded hash (matrices, offsets, and
-  // representation-bit counts alike) came from the canonical sampler, so
-  // the merged frame round-trips exactly. A partial attestation would
-  // almost work (Merge() proves matrix/offset equality row by row), but
-  // AffineHash::operator== ignores representation bits, so an embedded
-  // input could smuggle nonstandard repr counts into an elided output.
-  // With any embedded input, stay conservative and embed.
-  const bool elide =
-      out_version == SketchCodec::kFormatV2 && all_elided;
-  const bool v1_out = out_version == SketchCodec::kFormatV1;
   const bool estimation =
       !structured &&
       readers.front().params().algorithm == F0Algorithm::kEstimation;
 
-  wire::FrameSink sink(&out,
-                       structured ? SketchFrameKind::kStructuredF0
-                                  : SketchFrameKind::kF0Estimator,
-                       out_version);
+  wire::FrameSink sink(&out, structured ? SketchFrameKind::kStructuredF0
+                                        : SketchFrameKind::kF0Estimator);
   const int rows = structured
                        ? StructuredF0Rows(readers.front().structured_params())
                        : F0Rows(readers.front().params());
@@ -311,13 +299,13 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
     } else {
       const F0Params& params = readers.front().params();
       wire::EncodeParams(prelude, params);
-      if (!v1_out) prelude.U8(elide ? 1 : 0);
+      prelude.U8(elide ? 1 : 0);
       if (estimation) {
         const Gf2Field* field = readers.front().field();
-        prelude.Count(out_version, static_cast<uint64_t>(field->degree()));
+        prelude.Varint(static_cast<uint64_t>(field->degree()));
         prelude.U64(field->modulus_low());
       }
-      prelude.Count(out_version, static_cast<uint64_t>(rows));
+      prelude.Varint(static_cast<uint64_t>(rows));
     }
     sink.Append(prelude.Take());
   }
@@ -329,7 +317,7 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
     if (estimation && k == rows) {
       // The FM block's own row count sits between the two row sequences.
       wire::ByteWriter count;
-      count.Count(out_version, static_cast<uint64_t>(rows));
+      count.Varint(static_cast<uint64_t>(rows));
       sink.Append(count.Take());
     }
     auto first = readers.front().Next();
@@ -347,7 +335,7 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
       if (!status.ok()) return attributed(j, status);
     }
     wire::ByteWriter w;
-    EncodeUnit(w, acc.unit(), out_version, /*embed_hash=*/!elide);
+    EncodeUnit(w, acc.unit(), /*embed_hash=*/!elide);
     sink.Append(w.Take());
     ++stats.units;
   }
@@ -361,12 +349,13 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
 Result<SketchStreamMergeStats> MergeSketchStreams(
     const std::vector<std::string_view>& inputs, uint16_t out_version,
     std::ostream& out) {
+  MCF0_CHECK(out_version == SketchCodec::kFormatV2);
   std::vector<LabeledSource> labeled;
   labeled.reserve(inputs.size());
   for (const std::string_view bytes : inputs) {
     labeled.push_back(LabeledSource{std::string_view(), bytes});
   }
-  return MergeSketchStreams(labeled, out_version, out);
+  return MergeSketchStreams(labeled, out);
 }
 
 void BucketingCoordinator::AddTuple(uint64_t fingerprint, int trailing_zeros) {

@@ -91,19 +91,19 @@ struct LabeledSource {
 /// patches the header afterwards — `out` must be seekable), and the
 /// decoded state alive at any instant is one accumulator row plus the row
 /// being folded in. All inputs must share parameters; v1 and v2 raw
-/// inputs mix freely (structured frames are v2-only, as is structured
-/// output). `out_version` selects the output layout; the merged frame
-/// elides hash state only when *every* input frame attested canonical
-/// hashes (i.e. all are seed-elided v2), otherwise hashes are embedded.
-/// Every error is attributed to the offending input by name in a single
-/// pass — corrupt shards, parameter mismatches, and row-level
-/// incompatibilities alike — so callers need no pre-open validation
-/// sweep. On error the partial output should be discarded by the caller.
+/// inputs mix freely (structured frames are v2-only). The output is
+/// always a v2 frame; it elides hash state only when *every* input frame
+/// attested canonical hashes (i.e. all are seed-elided v2), otherwise
+/// hashes are embedded. Every error is attributed to the offending input
+/// by name in a single pass — corrupt shards, parameter mismatches, and
+/// row-level incompatibilities alike — so callers need no pre-open
+/// validation sweep. On error the partial output should be discarded by
+/// the caller.
 Result<SketchStreamMergeStats> MergeSketchStreams(
-    const std::vector<LabeledSource>& inputs, uint16_t out_version,
-    std::ostream& out);
+    const std::vector<LabeledSource>& inputs, std::ostream& out);
 
 /// Anonymous-input convenience (errors carry no input names).
+/// `out_version` (must be kFormatV2) is kept for bench/mcf0_bench/layers.cpp.
 Result<SketchStreamMergeStats> MergeSketchStreams(
     const std::vector<std::string_view>& inputs, uint16_t out_version,
     std::ostream& out);

@@ -155,19 +155,6 @@ void ByteWriter::Varint(uint64_t v) {
   U8(static_cast<uint8_t>(v));
 }
 
-void ByteWriter::Count(uint16_t version, uint64_t v) {
-  if (version == SketchCodec::kFormatV1) {
-    U32(static_cast<uint32_t>(v));
-  } else {
-    Varint(v);
-  }
-}
-
-void ByteWriter::BitVecField(const BitVec& v) {
-  U32(static_cast<uint32_t>(v.size()));
-  RawBits(v);
-}
-
 void ByteWriter::RawBits(const BitVec& v) {
   uint8_t byte = 0;
   for (int i = 0; i < v.size(); ++i) {
@@ -363,11 +350,11 @@ Result<std::string_view> UnwrapFrame(std::string_view bytes,
   return payload;
 }
 
-FrameSink::FrameSink(std::ostream* out, SketchFrameKind kind, uint16_t version)
+FrameSink::FrameSink(std::ostream* out, SketchFrameKind kind)
     : out_(out), header_pos_(out->tellp()) {
   ByteWriter header;
   for (const char c : kMagic) header.U8(static_cast<uint8_t>(c));
-  header.U16(version);
+  header.U16(SketchCodec::kFormatV2);
   header.U8(static_cast<uint8_t>(kind));
   header.U8(0);  // reserved
   header.U64(0);  // payload length, patched by Finish()
@@ -406,17 +393,8 @@ Status FrameSink::Finish() {
 
 // ---- AffineHash -----------------------------------------------------------
 
-void EncodeAffineHash(ByteWriter& w, const AffineHash& h, uint16_t version) {
-  if (version == SketchCodec::kFormatV1) {
-    w.U8(static_cast<uint8_t>(h.kind()));
-    w.U32(static_cast<uint32_t>(h.n()));
-    w.U32(static_cast<uint32_t>(h.m()));
-    w.U64(h.RepresentationBits());
-    w.BitVecField(h.b());
-    for (int i = 0; i < h.m(); ++i) w.BitVecField(h.A().Row(i));
-    return;
-  }
-  // v2: Toeplitz hashes ship their n + m - 1 bit diagonal seed; everything
+void EncodeAffineHash(ByteWriter& w, const AffineHash& h) {
+  // Toeplitz hashes ship their n + m - 1 bit diagonal seed; everything
   // else falls back to dense rows (without v1's per-row length prefixes).
   // The seed path is capped at n <= 64, m <= 4096 — far beyond any real
   // hash (word universes cap n at 64, Minimum uses m = 3n) — because the
@@ -598,22 +576,12 @@ Status DecodeParams(ByteReader& r, F0Params* out) {
 // ---- Bucketing row --------------------------------------------------------
 
 void EncodeBucketingPayload(ByteWriter& w, const BucketingSketchRow& row,
-                            uint16_t version, bool embed_hash) {
-  if (version == SketchCodec::kFormatV1) {
-    EncodeAffineHash(w, row.hash(), version);
-    w.U64(row.thresh());
-    w.U32(static_cast<uint32_t>(row.level()));
-    std::vector<uint64_t> elems(row.bucket().begin(), row.bucket().end());
-    std::sort(elems.begin(), elems.end());  // canonical order
-    w.U64(elems.size());
-    for (const uint64_t x : elems) w.U64(x);
-    return;
-  }
-  if (embed_hash) EncodeAffineHash(w, row.hash(), version);
+                            bool embed_hash) {
+  if (embed_hash) EncodeAffineHash(w, row.hash());
   w.Varint(row.thresh());
   w.Varint(static_cast<uint64_t>(row.level()));
   std::vector<uint64_t> elems(row.bucket().begin(), row.bucket().end());
-  std::sort(elems.begin(), elems.end());
+  std::sort(elems.begin(), elems.end());  // canonical order
   w.Varint(elems.size());
   EncodeAscendingU64Set(w, elems);
 }
@@ -688,15 +656,8 @@ Status DecodeBucketingPayload(ByteReader& r, uint16_t version,
 // ---- Minimum row ----------------------------------------------------------
 
 void EncodeMinimumPayload(ByteWriter& w, const MinimumSketchRow& row,
-                          uint16_t version, bool embed_hash) {
-  if (version == SketchCodec::kFormatV1) {
-    EncodeAffineHash(w, row.hash(), version);
-    w.U64(row.thresh());
-    w.U64(row.values().size());  // std::set iterates in canonical order
-    for (const BitVec& v : row.values()) w.BitVecField(v);
-    return;
-  }
-  if (embed_hash) EncodeAffineHash(w, row.hash(), version);
+                          bool embed_hash) {
+  if (embed_hash) EncodeAffineHash(w, row.hash());
   w.Varint(row.thresh());
   w.Varint(row.values().size());
   // Preimage coding: each m = 3n bit KMV value shrinks to the n-bit
@@ -708,6 +669,7 @@ void EncodeMinimumPayload(ByteWriter& w, const MinimumSketchRow& row,
   if (preimages.has_value()) {
     EncodeAscendingU64Set(w, *preimages);
   } else {
+    // std::set iterates in canonical (strictly ascending) order.
     for (const BitVec& v : row.values()) w.RawBits(v);
   }
 }
@@ -869,20 +831,7 @@ Status UnpackCells(ByteReader& r, uint64_t count, int cell_bits, int max_cell,
 }  // namespace
 
 void EncodeEstimationPayload(ByteWriter& w, const EstimationSketchRow& row,
-                             uint16_t version, bool embed_hash) {
-  if (version == SketchCodec::kFormatV1) {
-    w.U8(row.hashes().empty() ? 0 : 1);
-    if (!row.hashes().empty()) {
-      w.U32(static_cast<uint32_t>(row.hashes().size()));
-      for (const PolynomialHash& h : row.hashes()) {
-        w.U32(static_cast<uint32_t>(h.s()));
-        for (const uint64_t c : h.coeffs()) w.U64(c);
-      }
-    }
-    w.U32(static_cast<uint32_t>(row.cells().size()));
-    for (const int c : row.cells()) w.U8(static_cast<uint8_t>(c));
-    return;
-  }
+                             bool embed_hash) {
   if (embed_hash) {
     w.U8(row.hashes().empty() ? 0 : 1);
     if (!row.hashes().empty()) {
@@ -991,13 +940,8 @@ Status DecodeEstimationPayload(ByteReader& r, uint16_t version,
 // ---- Flajolet-Martin row --------------------------------------------------
 
 void EncodeFmPayload(ByteWriter& w, const FlajoletMartinRow& row,
-                     uint16_t version, bool embed_hash) {
-  if (version == SketchCodec::kFormatV1) {
-    EncodeAffineHash(w, row.hash(), version);
-    w.U32(static_cast<uint32_t>(row.max_trailing_zeros()));
-    return;
-  }
-  if (embed_hash) EncodeAffineHash(w, row.hash(), version);
+                     bool embed_hash) {
+  if (embed_hash) EncodeAffineHash(w, row.hash());
   w.Varint(static_cast<uint64_t>(row.max_trailing_zeros()));
 }
 
@@ -1086,9 +1030,8 @@ Status DecodeStructuredParams(ByteReader& r, StructuredF0Params* out) {
 
 void EncodeStructuredBucketPayload(ByteWriter& w,
                                    const StructuredBucketRow& row,
-                                   uint16_t version, bool embed_hash) {
-  MCF0_CHECK(version == SketchCodec::kFormatV2);  // structured is v2-only
-  if (embed_hash) EncodeAffineHash(w, row.hash(), version);
+                                   bool embed_hash) {
+  if (embed_hash) EncodeAffineHash(w, row.hash());
   w.Varint(row.thresh());
   w.Varint(static_cast<uint64_t>(row.level()));
   w.Varint(row.bucket().size());

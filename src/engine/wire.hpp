@@ -4,18 +4,18 @@
 /// This is the engine's *internal* serialization toolkit: byte-exact
 /// little-endian primitives (ByteWriter / ByteReader), the framed header
 /// (WrapFrame / UnwrapFrame / FrameSink), and the per-row payload codecs
-/// for both wire format versions (docs/wire_format.md). Three consumers
-/// build on it and nothing else should:
+/// (docs/wire_format.md). Three consumers build on it and nothing else
+/// should:
 ///
 ///   * `SketchCodec`   — whole-blob encode/decode (sketch_codec.hpp)
 ///   * `SketchReader`  — incremental row-at-a-time decode (sketch_reader.hpp)
 ///   * `MergeSketchStreams` — bounded-memory reducer merge (sketch_merge.hpp)
 ///
-/// Version-1 payloads are frozen: the functions here must keep producing
-/// and accepting the exact bytes the original codec did (the golden-file
-/// compat tests pin this). Version-2 payloads add the compressed
-/// representations: Toeplitz hashes as diagonal seeds, seed-elided hash
-/// state for whole estimators, and delta+varint coded element/value sets.
+/// Every encoder writes version 2: Toeplitz hashes as diagonal seeds,
+/// seed-elided hash state for whole estimators, and delta+varint coded
+/// element/value sets. Version 1 is read-only: the decoders take the
+/// frame's version and must keep accepting the exact bytes the original
+/// v1 codec wrote (the golden-file compat tests pin this).
 #pragma once
 
 #include <cstdint>
@@ -86,17 +86,9 @@ class ByteWriter {
   /// on every byte but the last. Minimal-length by construction.
   void Varint(uint64_t v);
 
-  /// A count/width field: fixed u32 in v1, varint in v2. Every site that
-  /// writes one goes through here so encoder and decoder can't diverge.
-  void Count(uint16_t version, uint64_t v);
-
-  /// v1 bit-string field: uint32 bit count, then ceil(size/8) bytes,
-  /// MSB-first within each byte (matching the BitVec string order); pad
-  /// bits are zero.
-  void BitVecField(const BitVec& v);
-
-  /// v2 bit-string field: the bytes of BitVecField without the length
-  /// prefix — used where the bit count is implied by context.
+  /// Bit-string field of a bit count implied by context: ceil(size/8)
+  /// bytes, MSB-first within each byte (matching the BitVec string
+  /// order); pad bits are zero.
   void RawBits(const BitVec& v);
 
   std::string Take() { return std::move(out_); }
@@ -127,11 +119,11 @@ class ByteReader {
   /// uint64 has exactly one wire representation.
   bool Varint(uint64_t* v);
 
-  /// Counterpart of ByteWriter::Count: fixed u32 in v1, varint in v2.
+  /// A count/width field: fixed u32 in v1, varint in v2.
   bool Count(uint16_t version, uint64_t* v);
 
-  /// Counterpart of ByteWriter::BitVecField; rejects nonzero pad bits so
-  /// the encoding of a given vector is unique.
+  /// v1 bit-string field: uint32 bit count, then the RawBits bytes;
+  /// rejects nonzero pad bits so the encoding of a given vector is unique.
   bool BitVecField(BitVec* v);
 
   /// Counterpart of ByteWriter::RawBits for a known bit count; rejects
@@ -199,12 +191,13 @@ Result<std::string_view> UnwrapFrame(std::string_view bytes,
                                      SketchFrameKind want, uint16_t* version);
 
 /// Incremental frame writer for bounded-memory producers: writes a
-/// placeholder header up front, streams payload chunks while accumulating
-/// length + FNV-1a-64, then patches the header in place on Finish(). The
-/// destination stream must be seekable (a file or stringstream).
+/// placeholder v2 header up front, streams payload chunks while
+/// accumulating length + FNV-1a-64, then patches the header in place on
+/// Finish(). The destination stream must be seekable (a file or
+/// stringstream).
 class FrameSink {
  public:
-  FrameSink(std::ostream* out, SketchFrameKind kind, uint16_t version);
+  FrameSink(std::ostream* out, SketchFrameKind kind);
 
   void Append(std::string_view payload_chunk);
   /// Seeks back and rewrites the header's length + checksum fields.
@@ -222,14 +215,14 @@ class FrameSink {
 
 // ---- payload codecs -------------------------------------------------------
 //
-// Encoders write exactly one canonical byte string per state; decoders
-// validate every field domain. `version` selects the layout. The v2 row
-// codecs take a hash context: when an estimator frame elides hash state
-// ("canonical hashes", mode byte 1), the caller re-derives each row's
-// hashes via F0RowSampler and passes them in; `embed_hash == false` on the
-// encode side skips them symmetrically.
+// Encoders write exactly one canonical v2 byte string per state; decoders
+// validate every field domain, and their `version` selects the layout
+// being read. The row codecs take a hash context: when an estimator frame
+// elides hash state ("canonical hashes", mode byte 1), the caller
+// re-derives each row's hashes via F0RowSampler and passes them in;
+// `embed_hash == false` on the encode side skips them symmetrically.
 
-void EncodeAffineHash(ByteWriter& w, const AffineHash& h, uint16_t version);
+void EncodeAffineHash(ByteWriter& w, const AffineHash& h);
 Status DecodeAffineHash(ByteReader& r, uint16_t version,
                         std::optional<AffineHash>* out);
 
@@ -237,7 +230,7 @@ void EncodeParams(ByteWriter& w, const F0Params& p);
 Status DecodeParams(ByteReader& r, F0Params* out);
 
 void EncodeBucketingPayload(ByteWriter& w, const BucketingSketchRow& row,
-                            uint16_t version, bool embed_hash);
+                            bool embed_hash);
 Status DecodeBucketingPayload(ByteReader& r, uint16_t version,
                               const AffineHash* elided_hash,
                               std::optional<BucketingSketchRow>* out);
@@ -247,14 +240,14 @@ Status DecodeBucketingPayload(ByteReader& r, uint16_t version,
 /// and are fed through AddHashed/Eval (never the word-stream Add). Word
 /// frames keep rejecting wide hashes, whose Add() would be undefined.
 void EncodeMinimumPayload(ByteWriter& w, const MinimumSketchRow& row,
-                          uint16_t version, bool embed_hash);
+                          bool embed_hash);
 Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
                             const AffineHash* elided_hash,
                             std::optional<MinimumSketchRow>* out,
                             bool wide_universe = false);
 
 void EncodeEstimationPayload(ByteWriter& w, const EstimationSketchRow& row,
-                             uint16_t version, bool embed_hash);
+                             bool embed_hash);
 /// `elided`, when non-null, supplies the replayed hashes and is moved
 /// from (the caller's replay row is a temporary anyway).
 Status DecodeEstimationPayload(ByteReader& r, uint16_t version,
@@ -263,7 +256,7 @@ Status DecodeEstimationPayload(ByteReader& r, uint16_t version,
                                std::optional<EstimationSketchRow>* out);
 
 void EncodeFmPayload(ByteWriter& w, const FlajoletMartinRow& row,
-                     uint16_t version, bool embed_hash);
+                     bool embed_hash);
 Status DecodeFmPayload(ByteReader& r, uint16_t version,
                        const AffineHash* elided_hash,
                        std::optional<FlajoletMartinRow>* out);
@@ -275,7 +268,7 @@ Status DecodeStructuredParams(ByteReader& r, StructuredF0Params* out);
 
 void EncodeStructuredBucketPayload(ByteWriter& w,
                                    const StructuredBucketRow& row,
-                                   uint16_t version, bool embed_hash);
+                                   bool embed_hash);
 Status DecodeStructuredBucketPayload(ByteReader& r, uint16_t version,
                                      const AffineHash* elided_hash,
                                      std::optional<StructuredBucketRow>* out);

@@ -4,12 +4,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 
 #include "engine/sketch_codec.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mcf0 {
 namespace net {
@@ -264,15 +262,14 @@ void Connection::HandleHello(const Message& message) {
             : "stream kind mismatch: this server ingests structured items"));
     return;
   }
-  if (hello.max_sketch_format < backend_->min_sketch_format()) {
+  // Every sketch this server sends (kSketch replies) is a v2 frame.
+  if (hello.max_sketch_format < SketchCodec::kFormatV2) {
     Abort(Status::NotSupported(
         "sketch format v" + std::to_string(hello.max_sketch_format) +
         " too old: this server encodes v" +
-        std::to_string(backend_->min_sketch_format()) + "+"));
+        std::to_string(SketchCodec::kFormatV2)));
     return;
   }
-  sketch_format_ = std::min<uint16_t>(hello.max_sketch_format,
-                                      SketchCodec::kDefaultFormatVersion);
   producer_ = backend_->MakeProducer();
   WelcomeFrame welcome;
   welcome.kind = backend_->kind();
@@ -285,7 +282,6 @@ void Connection::HandleHello(const Message& message) {
 }
 
 void Connection::HandleBatch(const Message& message) {
-  MCF0_TRACE_SPAN("serve.handle_batch");
   // Manual timing (not ScopedLatencyUs) so aborted batches never skew
   // the push-latency histogram; only the success path observes.
   const bool timed = obs::Enabled();
@@ -356,7 +352,7 @@ void Connection::HandleQueryEstimate() {
 
 void Connection::HandleQuerySketch() {
   SketchFrame sketch;
-  sketch.blob = backend_->EncodeSnapshot(sketch_format_);
+  sketch.blob = backend_->EncodeSnapshot();
   SendFrame(FrameType::kSketch, EncodeSketch(sketch));
 }
 

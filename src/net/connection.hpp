@@ -53,11 +53,6 @@ class EngineBackend {
   /// Universe width n — the validation bound for structured item
   /// decoding (64 for raw streams, where Add masks instead).
   virtual int universe_bits() const = 0;
-  /// Oldest sketch format version Encode{Snapshot,Final} can emit
-  /// (structured sketches are v2-only). A hello whose max_sketch_format
-  /// is below this is rejected at negotiation — the codec CHECK-aborts
-  /// on unsupported versions, so no lower version may ever reach it.
-  virtual uint16_t min_sketch_format() const = 0;
 
   virtual std::unique_ptr<ProducerHandle> MakeProducer() = 0;
 
@@ -68,11 +63,11 @@ class EngineBackend {
 
   /// Merge-without-drain queries (ShardedEngine::Snapshot*).
   virtual double SnapshotEstimate() = 0;
-  virtual std::string EncodeSnapshot(uint16_t format_version) = 0;
+  virtual std::string EncodeSnapshot() = 0;
 
   /// Post-drain final answers (every producer already closed).
   virtual double FinalEstimate() = 0;
-  virtual std::string EncodeFinal(uint16_t format_version) = 0;
+  virtual std::string EncodeFinal() = 0;
 };
 
 /// Per-connection protocol limits, set by the server.
@@ -161,7 +156,6 @@ class Connection {
   size_t outbox_sent_ = 0;
 
   std::unique_ptr<ProducerHandle> producer_;
-  uint16_t sketch_format_ = 0;  ///< negotiated kSketch format version
   uint64_t credits_ = 0;        ///< unspent grants held by the peer
   uint64_t last_seq_ = 0;       ///< highest batch seq accepted
   uint64_t batches_accepted_ = 0;

@@ -90,8 +90,8 @@ enum class StreamKind : uint8_t {
 
 struct HelloFrame {
   StreamKind kind = StreamKind::kRaw;
-  /// Highest sketch wire-format version the client can decode; the
-  /// server's kSketch responses never exceed it.
+  /// Highest sketch wire-format version the client can decode. Servers
+  /// send v2 sketches only, so they refuse a hello below 2 (kNotSupported).
   uint16_t max_sketch_format = 2;
 };
 

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "engine/sketch_codec.hpp"
 #include "obs/metrics.hpp"
 
 namespace mcf0 {
@@ -63,24 +62,8 @@ std::unique_ptr<ProducerHandle> RawEngineBackend::MakeProducer() {
   return std::make_unique<RawProducerHandle>(engine_->MakeProducer());
 }
 
-std::string RawEngineBackend::EncodeSnapshot(uint16_t format_version) {
-  return SketchCodec::Encode(engine_->SnapshotSketch(), format_version);
-}
-
-std::string RawEngineBackend::EncodeFinal(uint16_t format_version) {
-  return SketchCodec::Encode(engine_->MergedSketch(), format_version);
-}
-
 std::unique_ptr<ProducerHandle> StructuredEngineBackend::MakeProducer() {
   return std::make_unique<StructuredProducerHandle>(engine_->MakeProducer());
-}
-
-std::string StructuredEngineBackend::EncodeSnapshot(uint16_t format_version) {
-  return SketchCodec::Encode(engine_->SnapshotSketch(), format_version);
-}
-
-std::string StructuredEngineBackend::EncodeFinal(uint16_t format_version) {
-  return SketchCodec::Encode(engine_->MergedSketch(), format_version);
 }
 
 SketchServer::SketchServer(EngineBackend* backend, ServerOptions options)
@@ -257,7 +240,7 @@ Status SketchServer::Run() {
 
   // Every session is closed and every producer flushed; materialize the
   // final answers from the merged engine state.
-  final_sketch_ = backend_->EncodeFinal(SketchCodec::kDefaultFormatVersion);
+  final_sketch_ = backend_->EncodeFinal();
   final_estimate_ = backend_->FinalEstimate();
   return Status::Ok();
 }

@@ -34,9 +34,6 @@ class RawEngineBackend : public EngineBackend {
     return engine_->params();
   }
   int universe_bits() const override { return engine_->params().n; }
-  uint16_t min_sketch_format() const override {
-    return SketchCodec::kFormatV1;
-  }
   std::unique_ptr<ProducerHandle> MakeProducer() override;
   uint64_t queued_batches() override { return engine_->queued_batches(); }
   uint64_t queue_capacity() const override {
@@ -46,9 +43,13 @@ class RawEngineBackend : public EngineBackend {
     return engine_->elements_ingested();
   }
   double SnapshotEstimate() override { return engine_->SnapshotEstimate(); }
-  std::string EncodeSnapshot(uint16_t format_version) override;
+  std::string EncodeSnapshot() override {
+    return SketchCodec::Encode(engine_->SnapshotSketch());
+  }
   double FinalEstimate() override { return engine_->Estimate(); }
-  std::string EncodeFinal(uint16_t format_version) override;
+  std::string EncodeFinal() override {
+    return SketchCodec::Encode(engine_->MergedSketch());
+  }
 
  private:
   ShardedF0Engine* engine_;
@@ -65,10 +66,6 @@ class StructuredEngineBackend : public EngineBackend {
     return engine_->params();
   }
   int universe_bits() const override { return engine_->params().n; }
-  uint16_t min_sketch_format() const override {
-    // Structured frames have no v1 encoding (sketch_codec.cpp).
-    return SketchCodec::kFormatV2;
-  }
   std::unique_ptr<ProducerHandle> MakeProducer() override;
   uint64_t queued_batches() override { return engine_->queued_batches(); }
   uint64_t queue_capacity() const override {
@@ -78,9 +75,13 @@ class StructuredEngineBackend : public EngineBackend {
     return engine_->items_ingested();
   }
   double SnapshotEstimate() override { return engine_->SnapshotEstimate(); }
-  std::string EncodeSnapshot(uint16_t format_version) override;
+  std::string EncodeSnapshot() override {
+    return SketchCodec::Encode(engine_->SnapshotSketch());
+  }
   double FinalEstimate() override { return engine_->Estimate(); }
-  std::string EncodeFinal(uint16_t format_version) override;
+  std::string EncodeFinal() override {
+    return SketchCodec::Encode(engine_->MergedSketch());
+  }
 
  private:
   ShardedStructuredEngine* engine_;

@@ -75,18 +75,6 @@ std::string RenderLabels(const Labels& labels) {
   return out;
 }
 
-const char* TypeName(MetricSnapshot::Type type) {
-  switch (type) {
-    case MetricSnapshot::Type::kCounter:
-      return "counter";
-    case MetricSnapshot::Type::kGauge:
-      return "gauge";
-    case MetricSnapshot::Type::kHistogram:
-      return "histogram";
-  }
-  return "unknown";
-}
-
 void AppendU64(std::string* out, uint64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
@@ -113,12 +101,6 @@ void AppendJsonKey(std::string* out, const std::string& key) {
 
 }  // namespace
 
-uint64_t Histogram::BucketUpperBound(int index) {
-  if (index <= 0) return 1;
-  if (index >= kNumBuckets - 1) return UINT64_MAX;
-  return uint64_t{1} << index;
-}
-
 uint64_t Histogram::Count() const {
   uint64_t total = 0;
   for (const auto& bucket : buckets_) {
@@ -134,15 +116,11 @@ void Histogram::ResetForTest() {
 
 ScopedLatencyUs::ScopedLatencyUs(Histogram* histogram)
     : histogram_(histogram) {
-#if !defined(MCF0_OBS_DISABLED)
   if (histogram_ == nullptr || !Enabled()) {
     histogram_ = nullptr;
     return;
   }
   start_us_ = NowUs();
-#else
-  histogram_ = nullptr;
-#endif
 }
 
 ScopedLatencyUs::~ScopedLatencyUs() {
@@ -171,8 +149,6 @@ Registry::Entry* Registry::FindOrCreate(const std::string& name,
     return &it->second;
   }
   Entry entry;
-  entry.name = name;
-  entry.labels_rendered = rendered;
   entry.type = type;
   switch (type) {
     case MetricSnapshot::Type::kCounter:
@@ -209,9 +185,7 @@ std::vector<MetricSnapshot> Registry::Snapshot() const {
   out.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
     MetricSnapshot snap;
-    snap.name = entry.name;
     snap.key = key;
-    snap.labels = entry.labels_rendered;
     snap.type = entry.type;
     switch (entry.type) {
       case MetricSnapshot::Type::kCounter:
@@ -266,64 +240,6 @@ std::string Registry::SnapshotJson() const {
     }
   }
   out += "}";
-  return out;
-}
-
-std::string Registry::TextExposition() const {
-  const std::vector<MetricSnapshot> snaps = Snapshot();
-  std::string out;
-  std::string last_family;
-  for (const MetricSnapshot& snap : snaps) {
-    if (snap.name != last_family) {
-      out += "# TYPE " + snap.name + " " + TypeName(snap.type) + "\n";
-      last_family = snap.name;
-    }
-    switch (snap.type) {
-      case MetricSnapshot::Type::kCounter:
-        out += snap.key + " ";
-        AppendU64(&out, snap.counter_value);
-        out += "\n";
-        break;
-      case MetricSnapshot::Type::kGauge:
-        out += snap.key + " ";
-        AppendI64(&out, snap.gauge_value);
-        out += "\n";
-        break;
-      case MetricSnapshot::Type::kHistogram: {
-        uint64_t cumulative = 0;
-        for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-          cumulative += snap.hist_buckets[i];
-          std::string le;
-          if (i == Histogram::kNumBuckets - 1) {
-            le = "+Inf";
-          } else {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%" PRIu64,
-                          Histogram::BucketUpperBound(i));
-            le = buf;
-          }
-          out += snap.name + "_bucket";
-          if (snap.labels.empty()) {
-            out += "{le=\"" + le + "\"}";
-          } else {
-            // Splice le into the existing label set.
-            out += snap.labels.substr(0, snap.labels.size() - 1) + ",le=\"" +
-                   le + "\"}";
-          }
-          out += " ";
-          AppendU64(&out, cumulative);
-          out += "\n";
-        }
-        out += snap.name + "_sum" + snap.labels + " ";
-        AppendU64(&out, snap.hist_sum);
-        out += "\n";
-        out += snap.name + "_count" + snap.labels + " ";
-        AppendU64(&out, snap.hist_count);
-        out += "\n";
-        break;
-      }
-    }
-  }
   return out;
 }
 

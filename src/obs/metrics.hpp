@@ -7,11 +7,9 @@
 /// (metric cells are never deallocated), so steady-state cost is one
 /// relaxed `fetch_add` — no locks, no lookups.
 ///
-/// Three escape hatches keep the telemetry honest about its own cost:
+/// Two escape hatches keep the telemetry honest about its own cost:
 ///  - `SetEnabled(false)` is a runtime kill switch (one extra relaxed
 ///    bool load per op) used by bench/E19 to measure overhead in-process.
-///  - Compiling with `-DMCF0_OBS_DISABLED` stubs the mutating ops out
-///    entirely; registration and exposition still link, values stay 0.
 ///  - `Registry::ResetForTest()` zeroes every value so e2e tests can
 ///    assert exact counts against a process-wide registry.
 ///
@@ -30,12 +28,6 @@
 namespace mcf0 {
 namespace obs {
 
-#if defined(MCF0_OBS_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 namespace internal {
 extern std::atomic<bool> g_runtime_enabled;
 }  // namespace internal
@@ -53,12 +45,8 @@ void SetEnabled(bool enabled);
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-#if !defined(MCF0_OBS_DISABLED)
     if (!Enabled()) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void ResetForTest() { value_.store(0, std::memory_order_relaxed); }
@@ -73,22 +61,14 @@ class Counter {
 class Gauge {
  public:
   void Add(int64_t delta) {
-#if !defined(MCF0_OBS_DISABLED)
     if (!Enabled()) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   void Increment() { Add(1); }
   void Decrement() { Add(-1); }
   void Set(int64_t value) {
-#if !defined(MCF0_OBS_DISABLED)
     if (!Enabled()) return;
     value_.store(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void ResetForTest() { value_.store(0, std::memory_order_relaxed); }
@@ -116,18 +96,11 @@ class Histogram {
     }
     return width < kNumBuckets ? width : kNumBuckets - 1;
   }
-  /// Exclusive upper bound of bucket i; UINT64_MAX for the overflow
-  /// bucket (rendered as +Inf in the text exposition).
-  static uint64_t BucketUpperBound(int index);
 
   void Observe(uint64_t value) {
-#if !defined(MCF0_OBS_DISABLED)
     if (!Enabled()) return;
     buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   uint64_t BucketCount(int index) const {
@@ -158,7 +131,7 @@ class ScopedLatencyUs {
   uint64_t start_us_ = 0;
 };
 
-/// One label key/value pair, rendered Prometheus-style: {key="value"}.
+/// One label key/value pair, rendered into the metric key as {key="value"}.
 struct Label {
   std::string key;
   std::string value;
@@ -168,9 +141,7 @@ using Labels = std::vector<Label>;
 /// A point-in-time copy of one metric's value(s).
 struct MetricSnapshot {
   enum class Type { kCounter, kGauge, kHistogram };
-  std::string name;    ///< Family name, no labels.
-  std::string key;     ///< name + rendered labels; unique per registry.
-  std::string labels;  ///< Rendered {k="v",...} or empty.
+  std::string key;  ///< name + rendered labels; unique per registry.
   Type type = Type::kCounter;
   uint64_t counter_value = 0;
   int64_t gauge_value = 0;
@@ -203,10 +174,6 @@ class Registry {
   /// {"count":..,"sum":..,"buckets":[..]}. Keys sorted.
   std::string SnapshotJson() const;
 
-  /// Prometheus-style text exposition (# TYPE lines, _bucket{le=..}
-  /// expansion for histograms).
-  std::string TextExposition() const;
-
   /// Flat (name, value) pairs sorted by name — the kStatsReport wire
   /// payload. Counters and gauges report their value (gauges clamped
   /// at zero); histograms contribute <key>_count and <key>_sum.
@@ -219,8 +186,6 @@ class Registry {
 
  private:
   struct Entry {
-    std::string name;
-    std::string labels_rendered;
     MetricSnapshot::Type type;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;

@@ -2,7 +2,6 @@
 
 #include "gf2/gauss.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sat/tseitin.hpp"
 
 namespace mcf0 {
@@ -110,7 +109,6 @@ std::optional<BitVec> CnfOracle::Solve(const std::vector<XorConstraint>& xors,
                                        const std::vector<BitVec>& blocked) {
   ++num_calls_;
   Obs().calls->Increment();
-  MCF0_TRACE_SPAN("oracle.solve");
   sat::Solver solver;
   if (!BuildSolver(&solver, xors, blocked)) return std::nullopt;
   obs::ScopedLatencyUs solve_timer(Obs().solve_us);

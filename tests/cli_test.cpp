@@ -309,8 +309,7 @@ TEST(CliTest, SketchMerge32ShardsIsByteIdenticalToSinglePass) {
   // The reducer contract end to end: build 32 shard sketches, stream-merge
   // them (`sketch merge` folds row by row, so its memory stays bounded by
   // one row no matter the shard count), and the merged file must be
-  // byte-identical to a single-pass build over the whole stream. Covered
-  // for both wire formats via --format.
+  // byte-identical to a single-pass build over the whole stream.
   constexpr int kShards = 32;
   std::vector<std::string> shard_streams(kShards);
   std::string full;
@@ -329,70 +328,59 @@ TEST(CliTest, SketchMerge32ShardsIsByteIdenticalToSinglePass) {
                        std::istreambuf_iterator<char>());
   };
 
-  for (const std::string format : {"v1", "v2"}) {
-    const std::string common = " --seed 9 --format " + format + " ";
-    std::string inputs;
-    for (int s = 0; s < kShards; ++s) {
-      const std::string stream_path = WriteFixture(
-          "merge32_" + format + "_" + std::to_string(s) + ".txt",
-          shard_streams[s]);
-      const std::string sketch_path =
-          dir + "/merge32_" + format + "_" + std::to_string(s) + ".mcf0";
-      ASSERT_EQ(RunCli("sketch build" + common + "--out " + sketch_path +
-                       " " + stream_path)
-                    .exit_code,
-                0);
-      inputs += " " + sketch_path;
-    }
-    const std::string single = dir + "/merge32_single_" + format + ".mcf0";
-    ASSERT_EQ(RunCli("sketch build" + common + "--out " + single + " " +
-                     path_full)
+  const std::string common = " --seed 9 ";
+  std::string inputs;
+  for (int s = 0; s < kShards; ++s) {
+    const std::string stream_path = WriteFixture(
+        "merge32_" + std::to_string(s) + ".txt", shard_streams[s]);
+    const std::string sketch_path =
+        dir + "/merge32_" + std::to_string(s) + ".mcf0";
+    ASSERT_EQ(RunCli("sketch build" + common + "--out " + sketch_path + " " +
+                     stream_path)
                   .exit_code,
               0);
-    const std::string merged = dir + "/merge32_merged_" + format + ".mcf0";
-    const RunOutput merge_out =
-        RunCli("sketch merge" + common + "--out " + merged + inputs);
-    ASSERT_EQ(merge_out.exit_code, 0) << merge_out.stdout_text;
-    EXPECT_EQ(JsonNumber(merge_out.stdout_text, "inputs"), kShards);
-
-    const std::string single_bytes = read_bytes(single);
-    EXPECT_FALSE(single_bytes.empty());
-    EXPECT_EQ(read_bytes(merged), single_bytes) << "format " << format;
+    inputs += " " + sketch_path;
   }
+  const std::string single = dir + "/merge32_single.mcf0";
+  ASSERT_EQ(
+      RunCli("sketch build" + common + "--out " + single + " " + path_full)
+          .exit_code,
+      0);
+  const std::string merged = dir + "/merge32_merged.mcf0";
+  const RunOutput merge_out =
+      RunCli("sketch merge" + common + "--out " + merged + inputs);
+  ASSERT_EQ(merge_out.exit_code, 0) << merge_out.stdout_text;
+  EXPECT_EQ(JsonNumber(merge_out.stdout_text, "inputs"), kShards);
+
+  const std::string single_bytes = read_bytes(single);
+  EXPECT_FALSE(single_bytes.empty());
+  EXPECT_EQ(read_bytes(merged), single_bytes);
 }
 
-TEST(CliTest, SketchFormatFlagSelectsWireVersion) {
-  const std::string path = WriteFixture("fmt.txt", "1 2 3 4 5\n");
-  const std::string dir = testing::TempDir();
-  const std::string v1 = dir + "/fmt_v1.mcf0";
-  const std::string v2 = dir + "/fmt_v2.mcf0";
-  const RunOutput b1 =
-      RunCli("sketch build --format v1 --out " + v1 + " " + path);
-  ASSERT_EQ(b1.exit_code, 0) << b1.stdout_text;
-  EXPECT_EQ(JsonNumber(b1.stdout_text, "format"), 1.0);
-  const RunOutput b2 = RunCli("sketch build --out " + v2 + " " + path);
-  ASSERT_EQ(b2.exit_code, 0) << b2.stdout_text;
-  EXPECT_EQ(JsonNumber(b2.stdout_text, "format"), 2.0);
+TEST(CliTest, SketchQueryAndMergeReadGoldenV1File) {
+  // v1 is read-only: query reports a v1 file's own version, and merge
+  // reads it (here mixed with the same state at v2) and writes v2.
+  const std::string v1 =
+      std::string(MCF0_TEST_DATA_DIR) + "/bucketing_a_v1.mcf0";
+  const std::string v2 =
+      std::string(MCF0_TEST_DATA_DIR) + "/bucketing_a_v2.mcf0";
+  const RunOutput query = RunCli("sketch query " + v1);
+  ASSERT_EQ(query.exit_code, 0) << query.stdout_text;
+  EXPECT_EQ(JsonNumber(query.stdout_text, "format"), 1.0);
 
-  // query reports the version it found and answers identically for both.
-  const RunOutput q1 = RunCli("sketch query " + v1);
-  const RunOutput q2 = RunCli("sketch query " + v2);
-  ASSERT_EQ(q1.exit_code, 0);
-  ASSERT_EQ(q2.exit_code, 0);
-  EXPECT_EQ(JsonNumber(q1.stdout_text, "format"), 1.0);
-  EXPECT_EQ(JsonNumber(q2.stdout_text, "format"), 2.0);
-  EXPECT_DOUBLE_EQ(JsonNumber(q1.stdout_text, "estimate"),
-                   JsonNumber(q2.stdout_text, "estimate"));
+  const std::string merged = testing::TempDir() + "/golden_v1_merged.mcf0";
+  const RunOutput merge =
+      RunCli("sketch merge --out " + merged + " " + v1 + " " + v2);
+  ASSERT_EQ(merge.exit_code, 0) << merge.stdout_text;
+  EXPECT_EQ(JsonNumber(merge.stdout_text, "format"), 2.0);
+  EXPECT_DOUBLE_EQ(JsonNumber(merge.stdout_text, "estimate"),
+                   JsonNumber(query.stdout_text, "estimate"));
 
-  // Both versions merge together.
-  const std::string mixed = dir + "/fmt_mixed.mcf0";
-  EXPECT_EQ(RunCli("sketch merge --out " + mixed + " " + v1 + " " + v2)
-                .exit_code,
-            0);
-  EXPECT_EQ(
-      RunCli("sketch build --format v3 --out x.mcf0 " + path + " 2>/dev/null")
-          .exit_code,
-      2);
+  const RunOutput requery = RunCli("sketch query " + merged);
+  ASSERT_EQ(requery.exit_code, 0) << requery.stdout_text;
+  EXPECT_EQ(JsonNumber(requery.stdout_text, "format"), 2.0);
+  EXPECT_DOUBLE_EQ(JsonNumber(requery.stdout_text, "estimate"),
+                   JsonNumber(query.stdout_text, "estimate"));
 }
 
 TEST(CliTest, SketchUsageAndDecodeErrors) {
@@ -570,11 +558,6 @@ TEST(CliTest, StructuredSketchUsageErrors) {
                    " 2>/dev/null")
                 .exit_code,
             2);
-  // Structured frames exist only at v2.
-  EXPECT_EQ(RunCli("sketch build --input dnf --format v1 --out x.mcf0 " +
-                   dnf + " 2>/dev/null")
-                .exit_code,
-            2);
   // --producers is capped like --shards: a typo must be a usage error,
   // not a thread-spawn crash.
   EXPECT_EQ(RunCli("sketch build --producers 0 --out x.mcf0 " + dnf +
@@ -679,8 +662,6 @@ TEST(CliTest, FlagErrorRenderingIsPinnedByteForByte) {
   expect_error("f0 --n 5000000000 -", "--n is out of range: '5000000000'");
   expect_error("serve --input potato",
                "--input must be raw, dnf, range, or affine, got 'potato'");
-  expect_error("sketch build --format v3 x",
-               "--format must be v1 or v2, got 'v3'");
   // Aliases report under the canonical flag name.
   expect_error("sketch build -o", "--out needs a value");
 }

@@ -3,19 +3,23 @@
 // and v2 structured-sketch files. The fixtures are never regenerated
 // automatically; they pin these guarantees across codec changes:
 //
-//   1. the v1 *encoder* still produces those exact bytes (no silent drift
-//      of the frozen format), and likewise the v2 encoder — any
-//      intentional v2 layout change must regenerate the v2 fixtures *and*
-//      justify itself against the "bump the version" rule below,
+//   1. the v2 encoder still produces the v2 fixtures' exact bytes — any
+//      intentional v2 layout change must regenerate them *and* justify
+//      itself against the "bump the version" rule below,
 //   2. current decode reads golden files bit-exactly: the decoded
-//      sketch's queries match the original and re-encoding at the same
-//      version reproduces the file,
-//   3. estimators decoded from v1 files merge with v2-round-tripped
-//      estimators (cross-version map-reduce keeps working).
+//      sketch's queries and state match the original's,
+//   3. the v1 fixtures stay readable and hostile-input safe: v1 is
+//      read-only (no encoder writes it any more), so these frozen files
+//      are the v1 decoder's coverage, and every truncation or corruption
+//      of them is rejected,
+//   4. estimators decoded from v1 files merge with v2 ones, in memory and
+//      through the streaming reducer (cross-version map-reduce keeps
+//      working).
 //
-// To regenerate after an *intentional* layout change (for v1 there should
-// never be one — bump the version instead), run this binary with
-// --gtest_also_run_disabled_tests --gtest_filter='*RegenerateFixtures*'.
+// To regenerate the v2 fixtures after an *intentional* layout change, run
+// this binary with --gtest_also_run_disabled_tests
+// --gtest_filter='*RegenerateFixtures*'. The v1 files cannot be
+// regenerated: nothing writes v1.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -148,26 +152,9 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-TEST(CodecCompatTest, GoldenV1FilesMatchTheV1Encoder) {
-  // Guarantee 1: today's v1 encoder reproduces the checked-in bytes for
-  // the same parameters and streams.
-  for (const F0Algorithm algorithm : kAllAlgorithms) {
-    const std::string expect_a =
-        SketchCodec::Encode(BuildFixture(algorithm, ShardA()),
-                            SketchCodec::kFormatV1);
-    const std::string expect_b =
-        SketchCodec::Encode(BuildFixture(algorithm, ShardB()),
-                            SketchCodec::kFormatV1);
-    EXPECT_EQ(ReadFile(FixturePath(algorithm, "a")), expect_a)
-        << AlgoName(algorithm);
-    EXPECT_EQ(ReadFile(FixturePath(algorithm, "b")), expect_b)
-        << AlgoName(algorithm);
-  }
-}
-
 TEST(CodecCompatTest, DecodesGoldenV1FilesBitExactly) {
-  // Guarantee 2: decode -> query matches the original sketch exactly, and
-  // re-encoding as v1 reproduces the file byte for byte.
+  // Guarantee 2 for v1: decode -> query matches the original sketch
+  // exactly, and the decoded state is the original's (equal v2 bytes).
   for (const F0Algorithm algorithm : kAllAlgorithms) {
     const std::string blob = ReadFile(FixturePath(algorithm, "a"));
     Result<F0Estimator> decoded = SketchCodec::DecodeF0Estimator(blob);
@@ -178,8 +165,14 @@ TEST(CodecCompatTest, DecodesGoldenV1FilesBitExactly) {
     EXPECT_TRUE(decoded.value().params() == original.params());
     EXPECT_DOUBLE_EQ(decoded.value().Estimate(), original.Estimate());
     EXPECT_EQ(decoded.value().SpaceBits(), original.SpaceBits());
-    EXPECT_EQ(SketchCodec::Encode(decoded.value(), SketchCodec::kFormatV1),
-              blob);
+    // v1 embeds every hash, so decode cannot attest canonicality; the
+    // encoder's slow replay still proves it and elides.
+    EXPECT_FALSE(decoded.value().hashes_canonical());
+    const std::string v2 = SketchCodec::Encode(decoded.value());
+    EXPECT_EQ(v2, SketchCodec::Encode(original));
+    // The size bar of the version bump: v2 is at most a quarter of v1
+    // (8-18% on these fixtures).
+    EXPECT_LE(4 * v2.size(), blob.size()) << AlgoName(algorithm);
 
     // A v1-decoded sketch is live: it keeps absorbing elements in
     // lockstep with the original.
@@ -193,16 +186,43 @@ TEST(CodecCompatTest, DecodesGoldenV1FilesBitExactly) {
   }
 }
 
+TEST(CodecCompatTest, RejectsEveryTruncatedOrCorruptedGoldenV1File) {
+  // Guarantee 3: the v1 decoder fails cleanly on every proper prefix,
+  // every single-byte corruption (header fields by their own validation,
+  // payload bytes by the checksum), and trailing garbage.
+  for (const F0Algorithm algorithm : kAllAlgorithms) {
+    for (const char* shard : {"a", "b"}) {
+      const std::string blob = ReadFile(FixturePath(algorithm, shard));
+      ASSERT_TRUE(SketchCodec::DecodeF0Estimator(blob).ok());
+      for (size_t len = 0; len < blob.size(); ++len) {
+        EXPECT_FALSE(SketchCodec::DecodeF0Estimator(
+                         std::string_view(blob).substr(0, len))
+                         .ok())
+            << AlgoName(algorithm) << "_" << shard << " prefix of length "
+            << len << " decoded";
+      }
+      for (size_t pos = 0; pos < blob.size(); ++pos) {
+        std::string corrupt = blob;
+        corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x2a);
+        EXPECT_FALSE(SketchCodec::DecodeF0Estimator(corrupt).ok())
+            << AlgoName(algorithm) << "_" << shard << " flip at byte " << pos
+            << " decoded";
+      }
+      EXPECT_FALSE(SketchCodec::DecodeF0Estimator(blob + "x").ok());
+    }
+  }
+}
+
 TEST(CodecCompatTest, MergesV1DecodedWithV2DecodedAcrossVersions) {
-  // Guarantee 3: Merge(v1-decoded, v2-decoded) equals the single-pass
+  // Guarantee 4: Merge(v1-decoded, v2-decoded) equals the single-pass
   // sketch over the union stream, in both merge orders.
   for (const F0Algorithm algorithm : kAllAlgorithms) {
     Result<F0Estimator> from_v1 =
         SketchCodec::DecodeF0Estimator(ReadFile(FixturePath(algorithm, "a")));
     ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
 
-    const std::string v2_blob = SketchCodec::Encode(
-        BuildFixture(algorithm, ShardB()), SketchCodec::kFormatV2);
+    const std::string v2_blob =
+        SketchCodec::Encode(BuildFixture(algorithm, ShardB()));
     Result<F0Estimator> from_v2 = SketchCodec::DecodeF0Estimator(v2_blob);
     ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
 
@@ -225,25 +245,22 @@ TEST(CodecCompatTest, MergesV1DecodedWithV2DecodedAcrossVersions) {
 }
 
 TEST(CodecCompatTest, GoldenV2FilesMatchTheV2Encoder) {
-  // The v2 drift pin: today's v2 encoder reproduces the checked-in bytes
-  // for the same parameters and streams — raw estimator frames (all
-  // three algorithms) and structured frames (both strategies). Any
-  // intentional v2 layout change must regenerate these files (and the
-  // docs' measured-size table) consciously, not silently.
+  // Guarantee 1, the v2 drift pin: today's encoder reproduces the
+  // checked-in bytes for the same parameters and streams — raw estimator
+  // frames (all three algorithms) and structured frames (both
+  // strategies). Any intentional v2 layout change must regenerate these
+  // files (and the docs' measured-size table) consciously, not silently.
   for (const F0Algorithm algorithm : kAllAlgorithms) {
     EXPECT_EQ(ReadFile(FixturePath(algorithm, "a", "v2")),
-              SketchCodec::Encode(BuildFixture(algorithm, ShardA()),
-                                  SketchCodec::kFormatV2))
+              SketchCodec::Encode(BuildFixture(algorithm, ShardA())))
         << AlgoName(algorithm);
     EXPECT_EQ(ReadFile(FixturePath(algorithm, "b", "v2")),
-              SketchCodec::Encode(BuildFixture(algorithm, ShardB()),
-                                  SketchCodec::kFormatV2))
+              SketchCodec::Encode(BuildFixture(algorithm, ShardB())))
         << AlgoName(algorithm);
   }
   for (const StructuredF0Algorithm algorithm : kStructuredAlgorithms) {
     EXPECT_EQ(ReadFile(StructuredFixturePath(algorithm)),
-              SketchCodec::Encode(BuildStructuredFixture(algorithm),
-                                  SketchCodec::kFormatV2))
+              SketchCodec::Encode(BuildStructuredFixture(algorithm)))
         << StructuredAlgoName(algorithm);
   }
 }
@@ -261,8 +278,7 @@ TEST(CodecCompatTest, DecodesGoldenV2FilesBitExactly) {
     // The golden files are seed-elided, so decode attests canonicality
     // and the re-encode takes the O(state) fast path.
     EXPECT_TRUE(decoded.value().hashes_canonical());
-    EXPECT_EQ(SketchCodec::Encode(decoded.value(), SketchCodec::kFormatV2),
-              blob);
+    EXPECT_EQ(SketchCodec::Encode(decoded.value()), blob);
   }
   for (const StructuredF0Algorithm algorithm : kStructuredAlgorithms) {
     const std::string blob = ReadFile(StructuredFixturePath(algorithm));
@@ -272,49 +288,46 @@ TEST(CodecCompatTest, DecodesGoldenV2FilesBitExactly) {
     const StructuredF0 original = BuildStructuredFixture(algorithm);
     EXPECT_DOUBLE_EQ(decoded.value().Estimate(), original.Estimate());
     EXPECT_TRUE(decoded.value().hashes_canonical());
-    EXPECT_EQ(SketchCodec::Encode(decoded.value(), SketchCodec::kFormatV2),
-              blob);
+    EXPECT_EQ(SketchCodec::Encode(decoded.value()), blob);
   }
 }
 
 TEST(CodecCompatTest, StreamingMergeReadsGoldenV1Files) {
-  // The row-at-a-time reducer handles v1 frames too: streaming both
-  // golden shards equals the in-memory union, for v1 and v2 output.
+  // The row-at-a-time reducer reads v1 frames too, mixed with v2 ones:
+  // both golden v1 shards plus a v2-encoded shard B fold into the
+  // single-pass union.
   for (const F0Algorithm algorithm : kAllAlgorithms) {
     const std::string blob_a = ReadFile(FixturePath(algorithm, "a"));
     const std::string blob_b = ReadFile(FixturePath(algorithm, "b"));
+    const std::string v2_b =
+        SketchCodec::Encode(BuildFixture(algorithm, ShardB()));
 
     F0Estimator single(FixtureParams(algorithm));
     for (const uint64_t x : ShardA()) single.Add(x);
     for (const uint64_t x : ShardB()) single.Add(x);
 
-    // v1 output from v1 inputs is bit-reproducible against a single pass.
-    std::stringstream v1_out;
-    auto v1_stats =
-        MergeSketchStreams({blob_a, blob_b}, SketchCodec::kFormatV1, v1_out);
-    ASSERT_TRUE(v1_stats.ok())
-        << AlgoName(algorithm) << ": " << v1_stats.status().ToString();
-    EXPECT_EQ(v1_out.str(), SketchCodec::Encode(single, SketchCodec::kFormatV1))
-        << AlgoName(algorithm);
-
-    // v2 output from all-embedded (v1) inputs conservatively embeds hash
-    // state rather than attesting canonical hashes, so compare *state*:
-    // the decoded merge re-encodes identically to the single-pass sketch.
-    std::stringstream v2_out;
-    auto v2_stats =
-        MergeSketchStreams({blob_a, blob_b}, SketchCodec::kFormatV2, v2_out);
-    ASSERT_TRUE(v2_stats.ok())
-        << AlgoName(algorithm) << ": " << v2_stats.status().ToString();
-    Result<F0Estimator> decoded = SketchCodec::DecodeF0Estimator(v2_out.str());
+    // The v1 inputs embed their hashes, so the merged frame
+    // conservatively embeds too (elision requires *every* input to attest
+    // canonical hashes): compare *state* — the decoded merge re-encodes
+    // identically to the single-pass sketch.
+    std::stringstream out;
+    auto stats = MergeSketchStreams(
+        {{"a_v1", blob_a}, {"b_v1", blob_b}, {"b_v2", v2_b}}, out);
+    ASSERT_TRUE(stats.ok())
+        << AlgoName(algorithm) << ": " << stats.status().ToString();
+    EXPECT_EQ(SketchCodec::PeekFormatVersion(out.str()).value(),
+              SketchCodec::kFormatV2);
+    Result<F0Estimator> decoded = SketchCodec::DecodeF0Estimator(out.str());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_FALSE(decoded.value().hashes_canonical());
     EXPECT_EQ(SketchCodec::Encode(decoded.value()), SketchCodec::Encode(single))
         << AlgoName(algorithm);
   }
 }
 
-// Manual regeneration hook; see the file comment. Emits every fixture
-// generation — v1 and v2 raw frames plus the v2 structured frames — and
-// writes into the source tree, so it stays disabled in normal runs.
+// Manual regeneration hook; see the file comment. Emits the v2 raw and
+// structured frames (the v1 files are frozen) and writes into the source
+// tree, so it stays disabled in normal runs.
 TEST(CodecCompatTest, DISABLED_RegenerateFixtures) {
   auto write = [](const std::string& path, const std::string& blob) {
     std::ofstream out(path, std::ios::binary);
@@ -327,17 +340,13 @@ TEST(CodecCompatTest, DISABLED_RegenerateFixtures) {
       std::vector<uint64_t> xs;
     } shards[] = {{"a", ShardA()}, {"b", ShardB()}};
     for (const auto& [shard, xs] : shards) {
-      const F0Estimator est = BuildFixture(algorithm, xs);
-      write(FixturePath(algorithm, shard, "v1"),
-            SketchCodec::Encode(est, SketchCodec::kFormatV1));
       write(FixturePath(algorithm, shard, "v2"),
-            SketchCodec::Encode(est, SketchCodec::kFormatV2));
+            SketchCodec::Encode(BuildFixture(algorithm, xs)));
     }
   }
   for (const StructuredF0Algorithm algorithm : kStructuredAlgorithms) {
     write(StructuredFixturePath(algorithm),
-          SketchCodec::Encode(BuildStructuredFixture(algorithm),
-                              SketchCodec::kFormatV2));
+          SketchCodec::Encode(BuildStructuredFixture(algorithm)));
   }
 }
 

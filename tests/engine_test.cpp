@@ -27,9 +27,6 @@ namespace {
 constexpr F0Algorithm kAllAlgorithms[] = {
     F0Algorithm::kBucketing, F0Algorithm::kMinimum, F0Algorithm::kEstimation};
 
-constexpr uint16_t kBothVersions[] = {SketchCodec::kFormatV1,
-                                      SketchCodec::kFormatV2};
-
 // Small overrides keep every test fast while still exercising the
 // saturated regime (thresh 20 << the default 150).
 F0Params SmallParams(F0Algorithm algorithm, uint64_t seed = 7) {
@@ -62,32 +59,29 @@ F0Estimator Clone(const F0Estimator& est) {
 
 // ---- codec ----------------------------------------------------------------
 
-TEST(SketchCodecTest, RoundTripsEstimatorForAllAlgorithmsAndVersions) {
+TEST(SketchCodecTest, RoundTripsEstimatorForAllAlgorithms) {
   for (const F0Algorithm algorithm : kAllAlgorithms) {
-    for (const uint16_t version : kBothVersions) {
-      const F0Params params = SmallParams(algorithm);
-      F0Estimator original(params);
-      for (const uint64_t x : RandomStream(500, 300, 11)) original.Add(x);
+    const F0Params params = SmallParams(algorithm);
+    F0Estimator original(params);
+    for (const uint64_t x : RandomStream(500, 300, 11)) original.Add(x);
 
-      const std::string blob = SketchCodec::Encode(original, version);
-      Result<F0Estimator> decoded = SketchCodec::DecodeF0Estimator(blob);
-      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      EXPECT_TRUE(decoded.value().params() == params);
-      EXPECT_DOUBLE_EQ(decoded.value().Estimate(), original.Estimate());
-      EXPECT_EQ(decoded.value().SpaceBits(), original.SpaceBits());
-      // Canonical per version: re-encoding the decoded sketch is
-      // byte-identical.
-      EXPECT_EQ(SketchCodec::Encode(decoded.value(), version), blob);
+    const std::string blob = SketchCodec::Encode(original);
+    Result<F0Estimator> decoded = SketchCodec::DecodeF0Estimator(blob);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(decoded.value().params() == params);
+    EXPECT_DOUBLE_EQ(decoded.value().Estimate(), original.Estimate());
+    EXPECT_EQ(decoded.value().SpaceBits(), original.SpaceBits());
+    // Canonical: re-encoding the decoded sketch is byte-identical.
+    EXPECT_EQ(SketchCodec::Encode(decoded.value()), blob);
 
-      // The decoded sketch is live, not a snapshot: hash state
-      // round-tripped, so absorbing more elements tracks the original.
-      F0Estimator revived = std::move(decoded).value();
-      for (const uint64_t x : RandomStream(200, 600, 12)) {
-        original.Add(x);
-        revived.Add(x);
-      }
-      EXPECT_EQ(SketchCodec::Encode(revived), SketchCodec::Encode(original));
+    // The decoded sketch is live, not a snapshot: hash state
+    // round-tripped, so absorbing more elements tracks the original.
+    F0Estimator revived = std::move(decoded).value();
+    for (const uint64_t x : RandomStream(200, 600, 12)) {
+      original.Add(x);
+      revived.Add(x);
     }
+    EXPECT_EQ(SketchCodec::Encode(revived), SketchCodec::Encode(original));
   }
 }
 
@@ -136,36 +130,33 @@ TEST(SketchCodecTest, RoundTripsIndividualRows) {
   EXPECT_EQ(c.value().cells(), cells_only.cells());
 }
 
+// The v1 decoder's truncation/corruption sweeps run over the golden v1
+// files (codec_compat_test), since nothing encodes v1 any more.
 TEST(SketchCodecTest, RejectsTruncationAtEveryPrefixLength) {
-  for (const uint16_t version : kBothVersions) {
-    F0Estimator est(SmallParams(F0Algorithm::kMinimum));
-    for (const uint64_t x : RandomStream(200, 100, 5)) est.Add(x);
-    const std::string blob = SketchCodec::Encode(est, version);
-    for (size_t len = 0; len < blob.size(); ++len) {
-      Result<F0Estimator> decoded =
-          SketchCodec::DecodeF0Estimator(std::string_view(blob).substr(0, len));
-      EXPECT_FALSE(decoded.ok())
-          << "v" << version << " prefix of length " << len << " decoded";
-    }
+  F0Estimator est(SmallParams(F0Algorithm::kMinimum));
+  for (const uint64_t x : RandomStream(200, 100, 5)) est.Add(x);
+  const std::string blob = SketchCodec::Encode(est);
+  for (size_t len = 0; len < blob.size(); ++len) {
+    Result<F0Estimator> decoded =
+        SketchCodec::DecodeF0Estimator(std::string_view(blob).substr(0, len));
+    EXPECT_FALSE(decoded.ok()) << "prefix of length " << len << " decoded";
   }
 }
 
 TEST(SketchCodecTest, RejectsCorruptedBytes) {
-  for (const uint16_t version : kBothVersions) {
-    F0Estimator est(SmallParams(F0Algorithm::kBucketing));
-    for (const uint64_t x : RandomStream(300, 200, 6)) est.Add(x);
-    const std::string blob = SketchCodec::Encode(est, version);
-    // Every single-byte corruption must be caught — header fields by their
-    // own validation, payload bytes by the checksum.
-    for (size_t pos = 0; pos < blob.size(); pos += 7) {
-      std::string corrupt = blob;
-      corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x2a);
-      EXPECT_FALSE(SketchCodec::DecodeF0Estimator(corrupt).ok())
-          << "v" << version << " flip at byte " << pos << " decoded";
-    }
-    // Trailing garbage is not silently ignored either.
-    EXPECT_FALSE(SketchCodec::DecodeF0Estimator(blob + "x").ok());
+  F0Estimator est(SmallParams(F0Algorithm::kBucketing));
+  for (const uint64_t x : RandomStream(300, 200, 6)) est.Add(x);
+  const std::string blob = SketchCodec::Encode(est);
+  // Every single-byte corruption must be caught — header fields by their
+  // own validation, payload bytes by the checksum.
+  for (size_t pos = 0; pos < blob.size(); pos += 7) {
+    std::string corrupt = blob;
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x2a);
+    EXPECT_FALSE(SketchCodec::DecodeF0Estimator(corrupt).ok())
+        << "flip at byte " << pos << " decoded";
   }
+  // Trailing garbage is not silently ignored either.
+  EXPECT_FALSE(SketchCodec::DecodeF0Estimator(blob + "x").ok());
 }
 
 TEST(SketchCodecTest, RejectsStructurallyInvalidRowState) {
@@ -211,30 +202,22 @@ TEST(SketchCodecTest, RejectsStructurallyInvalidRowState) {
 TEST(SketchCodecTest, RejectsHugeRowCountWithoutAllocating) {
   // A tiny file whose parameters promise INT_MAX rows must be a clean
   // Status error, not a std::bad_alloc abort from a huge reserve().
-  const std::string blob = SketchCodec::Encode(
-      F0Estimator(SmallParams(F0Algorithm::kBucketing)),
-      SketchCodec::kFormatV1);
-  // v1 payload layout (docs/wire_format.md): algorithm u8, n u8, eps f64,
-  // delta f64, seed u64, thresh_override u64, rows_override u32,
-  // s_override u32, row count u32.
-  constexpr size_t kHeader = 24;
-  constexpr size_t kRowsOverrideOff = 1 + 1 + 8 + 8 + 8 + 8;
-  constexpr size_t kRowCountOff = kRowsOverrideOff + 4 + 4;
-  std::string payload = blob.substr(kHeader, kRowCountOff + 4);
-  for (int i = 0; i < 4; ++i) {  // rows_override = row count = 0x7fffffff
-    payload[kRowsOverrideOff + i] = static_cast<char>(i == 3 ? 0x7f : 0xff);
-    payload[kRowCountOff + i] = static_cast<char>(i == 3 ? 0x7f : 0xff);
-  }
+  F0Params huge = SmallParams(F0Algorithm::kBucketing);
+  huge.rows_override = 0x7fffffff;
+
+  // v1 payload layout (docs/wire_format.md): the params block, then a
+  // u32 row count.
+  wire::ByteWriter v1;
+  wire::EncodeParams(v1, huge);
+  v1.U32(0x7fffffff);
   EXPECT_FALSE(SketchCodec::DecodeF0Estimator(
                    wire::WrapFrame(SketchFrameKind::kF0Estimator,
-                                   SketchCodec::kFormatV1, payload))
+                                   SketchCodec::kFormatV1, v1.Take()))
                    .ok());
 
   // Same attack against the v2 layout: params block, hash-mode byte, then
   // a varint row count claiming 2^31 - 1 rows.
   wire::ByteWriter w;
-  F0Params huge = SmallParams(F0Algorithm::kBucketing);
-  huge.rows_override = 0x7fffffff;
   wire::EncodeParams(w, huge);
   w.U8(1);  // canonical hashes — nothing else needed per row
   w.Varint(0x7fffffffull);
@@ -254,19 +237,6 @@ TEST(SketchCodecTest, RejectsMismatchedFrameKind) {
 }
 
 // ---- v2 wire format -------------------------------------------------------
-
-TEST(SketchCodecTest, V2IsDramaticallySmallerThanV1) {
-  // The headline property of the version bump: seed-compressed hashes +
-  // delta-coded sets. Exact ratios are benchmarked (E18); here just pin
-  // that every algorithm shrinks by a wide margin.
-  for (const F0Algorithm algorithm : kAllAlgorithms) {
-    F0Estimator est(SmallParams(algorithm));
-    for (const uint64_t x : RandomStream(600, 400, 77)) est.Add(x);
-    const size_t v1 = SketchCodec::Encode(est, SketchCodec::kFormatV1).size();
-    const size_t v2 = SketchCodec::Encode(est, SketchCodec::kFormatV2).size();
-    EXPECT_LT(v2 * 2, v1) << "algorithm " << static_cast<int>(algorithm);
-  }
-}
 
 TEST(SketchCodecTest, VarintEdgeCases) {
   // Round-trip the boundary values, including the 10-byte encoding of
@@ -309,12 +279,10 @@ TEST(SketchCodecTest, V2DeltaSetEdgeCases) {
   Rng rng(19);
   // Empty KMV set: a fresh Minimum row round-trips with zero values.
   const MinimumSketchRow empty(16, 8, rng);
-  for (const uint16_t version : kBothVersions) {
-    Result<MinimumSketchRow> decoded =
-        SketchCodec::DecodeMinimumRow(SketchCodec::Encode(empty, version));
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_TRUE(decoded.value().values().empty());
-  }
+  Result<MinimumSketchRow> decoded =
+      SketchCodec::DecodeMinimumRow(SketchCodec::Encode(empty));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded.value().values().empty());
 
   // Max-width universe: n = 64 elements at both ends of the range force
   // 10-byte varints and the unsigned-overflow guards in the delta sums.
@@ -330,7 +298,7 @@ TEST(SketchCodecTest, V2DeltaSetEdgeCases) {
   // A crafted delta chain that wraps past 2^64 must be rejected, not
   // wrapped: first element 2^64 - 1, then any further gap overflows.
   wire::ByteWriter w;
-  wire::EncodeAffineHash(w, wide.hash(), SketchCodec::kFormatV2);
+  wire::EncodeAffineHash(w, wide.hash());
   w.Varint(8);   // thresh
   w.Varint(0);   // level (elements stay unfiltered)
   w.Varint(2);   // count
@@ -396,12 +364,11 @@ TEST(SketchCodecTest, V2KmvFallsBackWhenValuesHaveNoPreimage) {
   // until insertion keeps it (thresh has room), then check the codec.
   BitVec alien = BitVec::Ones(row.output_bits());
   row.AddHashed(alien);
-  const std::string blob = SketchCodec::Encode(row, SketchCodec::kFormatV2);
+  const std::string blob = SketchCodec::Encode(row);
   Result<MinimumSketchRow> decoded = SketchCodec::DecodeMinimumRow(blob);
   if (decoded.ok()) {
     EXPECT_EQ(decoded.value().values(), row.values());
-    EXPECT_EQ(SketchCodec::Encode(decoded.value(), SketchCodec::kFormatV2),
-              blob);
+    EXPECT_EQ(SketchCodec::Encode(decoded.value()), blob);
   } else {
     // Only acceptable failure: `alien` happened to lie in the hash image
     // after all (a 24-bit hash of an 8-bit universe misses it with
@@ -421,8 +388,8 @@ TEST(SketchCodecTest, V2ToeplitzKindWithDenseMatrixStillRoundTrips) {
   ASSERT_FALSE(fake.HasToeplitzMatrix());
   MinimumSketchRow row(fake, 4);
   row.Add(77);
-  Result<MinimumSketchRow> decoded = SketchCodec::DecodeMinimumRow(
-      SketchCodec::Encode(row, SketchCodec::kFormatV2));
+  Result<MinimumSketchRow> decoded =
+      SketchCodec::DecodeMinimumRow(SketchCodec::Encode(row));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded.value().hash() == fake);
   EXPECT_EQ(decoded.value().values(), row.values());
@@ -514,29 +481,26 @@ TEST(SketchCodecTest, RejectsHostileParameterBlocksWithoutSampling) {
 
 TEST(SketchReaderTest, YieldsEveryRowInLayoutOrder) {
   for (const F0Algorithm algorithm : kAllAlgorithms) {
-    for (const uint16_t version : kBothVersions) {
-      F0Estimator est(SmallParams(algorithm));
-      for (const uint64_t x : RandomStream(400, 250, 91)) est.Add(x);
-      const std::string blob = SketchCodec::Encode(est, version);
+    F0Estimator est(SmallParams(algorithm));
+    for (const uint64_t x : RandomStream(400, 250, 91)) est.Add(x);
+    const std::string blob = SketchCodec::Encode(est);
 
-      auto opened = SketchReader::Open(blob);
-      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-      SketchReader reader = std::move(opened).value();
-      EXPECT_TRUE(reader.params() == est.params());
-      EXPECT_EQ(reader.version(), version);
-      const int expected_units =
-          algorithm == F0Algorithm::kEstimation
-              ? 2 * F0Rows(est.params())
-              : F0Rows(est.params());
-      EXPECT_EQ(reader.num_units(), expected_units);
-      int units = 0;
-      while (!reader.AtEnd()) {
-        auto unit = reader.Next();
-        ASSERT_TRUE(unit.ok()) << unit.status().ToString();
-        ++units;
-      }
-      EXPECT_EQ(units, expected_units);
+    auto opened = SketchReader::Open(blob);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    SketchReader reader = std::move(opened).value();
+    EXPECT_TRUE(reader.params() == est.params());
+    EXPECT_EQ(reader.version(), SketchCodec::kFormatV2);
+    const int expected_units = algorithm == F0Algorithm::kEstimation
+                                   ? 2 * F0Rows(est.params())
+                                   : F0Rows(est.params());
+    EXPECT_EQ(reader.num_units(), expected_units);
+    int units = 0;
+    while (!reader.AtEnd()) {
+      auto unit = reader.Next();
+      ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+      ++units;
     }
+    EXPECT_EQ(units, expected_units);
   }
 }
 
@@ -560,8 +524,9 @@ TEST(SketchMergeTest, StreamingMergeIsByteIdenticalAndBoundedBy32Inputs) {
     }
 
     std::stringstream out;
-    const std::vector<std::string_view> views(blobs.begin(), blobs.end());
-    auto stats = MergeSketchStreams(views, SketchCodec::kFormatV2, out);
+    std::vector<LabeledSource> sources;
+    for (const std::string& blob : blobs) sources.push_back({"", blob});
+    auto stats = MergeSketchStreams(sources, out);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(out.str(), SketchCodec::Encode(single));
     EXPECT_LE(stats.value().max_resident_units, 2);
@@ -571,51 +536,16 @@ TEST(SketchMergeTest, StreamingMergeIsByteIdenticalAndBoundedBy32Inputs) {
   }
 }
 
-TEST(SketchMergeTest, StreamingMergeMixesWireVersions) {
-  // v1 shard + v2 shard -> v2 output. The v1 input embeds its hashes, so
-  // the merged frame conservatively embeds too (elision requires *every*
-  // input to attest canonical hashes); the merged *state* still equals
-  // the single-pass sketch exactly.
-  const F0Params params = SmallParams(F0Algorithm::kBucketing);
-  const std::vector<uint64_t> xs = RandomStream(900, 400, 95);
-  F0Estimator single(params);
-  F0Estimator a(params);
-  F0Estimator b(params);
-  for (size_t i = 0; i < xs.size(); ++i) {
-    single.Add(xs[i]);
-    (i % 2 == 0 ? a : b).Add(xs[i]);
-  }
-  const std::string blob_a = SketchCodec::Encode(a, SketchCodec::kFormatV1);
-  const std::string blob_b = SketchCodec::Encode(b, SketchCodec::kFormatV2);
-  std::stringstream out;
-  auto stats =
-      MergeSketchStreams({blob_a, blob_b}, SketchCodec::kFormatV2, out);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  Result<F0Estimator> decoded = SketchCodec::DecodeF0Estimator(out.str());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(SketchCodec::Encode(decoded.value()), SketchCodec::Encode(single));
-
-  // All-v2 inputs keep the bit-identical elided fast path.
-  std::stringstream out2;
-  auto stats2 = MergeSketchStreams({SketchCodec::Encode(a),
-                                    SketchCodec::Encode(b)},
-                                   SketchCodec::kFormatV2, out2);
-  ASSERT_TRUE(stats2.ok()) << stats2.status().ToString();
-  EXPECT_EQ(out2.str(), SketchCodec::Encode(single));
-}
-
 TEST(SketchMergeTest, StreamingMergeRejectsMismatchedInputs) {
   F0Estimator seed7(SmallParams(F0Algorithm::kMinimum, 7));
   F0Estimator seed8(SmallParams(F0Algorithm::kMinimum, 8));
   const std::string blob7 = SketchCodec::Encode(seed7);
   const std::string blob8 = SketchCodec::Encode(seed8);
   std::stringstream out;
-  EXPECT_FALSE(
-      MergeSketchStreams({blob7, blob8}, SketchCodec::kFormatV2, out).ok());
+  EXPECT_FALSE(MergeSketchStreams({{"7", blob7}, {"8", blob8}}, out).ok());
   std::stringstream out2;
-  EXPECT_FALSE(MergeSketchStreams({blob7, std::string_view("garbage")},
-                                  SketchCodec::kFormatV2, out2)
-                   .ok());
+  EXPECT_FALSE(
+      MergeSketchStreams({{"7", blob7}, {"garbage", "garbage"}}, out2).ok());
 }
 
 // ---- merge algebra --------------------------------------------------------

@@ -9,7 +9,7 @@
 // failures <= delta * trials is robust against binomial noise while still
 // catching any compression bug that nudges estimates.
 //
-// Both codec versions must also agree with the in-memory estimator
+// The codec round trip must also agree with the in-memory estimator
 // *exactly* (the codec is lossless), so the statistical guarantee
 // transfers to round-tripped sketches by identity — which is precisely
 // what this harness pins down: compression can never silently change an
@@ -63,15 +63,11 @@ void RunSetting(const Setting& setting) {
     }
 
     const double direct = est.Estimate();
-    for (const uint16_t version :
-         {SketchCodec::kFormatV1, SketchCodec::kFormatV2}) {
-      Result<F0Estimator> decoded =
-          SketchCodec::DecodeF0Estimator(SketchCodec::Encode(est, version));
-      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      // Lossless: the round-tripped estimator answers identically.
-      ASSERT_DOUBLE_EQ(decoded.value().Estimate(), direct)
-          << "format v" << version << ", trial " << trial;
-    }
+    Result<F0Estimator> decoded =
+        SketchCodec::DecodeF0Estimator(SketchCodec::Encode(est));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    // Lossless: the round-tripped estimator answers identically.
+    ASSERT_DOUBLE_EQ(decoded.value().Estimate(), direct) << "trial " << trial;
 
     const double f0 = static_cast<double>(setting.f0);
     if (std::abs(direct - f0) > setting.eps * f0) ++failures;

@@ -144,7 +144,7 @@ TEST(KernelParityTest, HornerBatchMatchesScalarEvalForEveryWidth) {
 
 TEST(PackedToeplitzTest, RowMatchesGetReference) {
   Rng rng(31);
-  for (const auto [m, n] : {std::pair{1, 1}, {3, 7}, {24, 24}, {64, 64},
+  for (const auto& [m, n] : {std::pair{1, 1}, {3, 7}, {24, 24}, {64, 64},
                             {70, 129}, {129, 70}, {200, 3}}) {
     const ToeplitzMatrix t = ToeplitzMatrix::Random(m, n, rng);
     for (int i = 0; i < m; ++i) {
@@ -160,7 +160,7 @@ TEST(PackedToeplitzTest, RowMatchesGetReference) {
 
 TEST(PackedToeplitzTest, MulMatchesRowDotReference) {
   Rng rng(32);
-  for (const auto [m, n] : {std::pair{1, 1}, {5, 9}, {24, 24}, {64, 64},
+  for (const auto& [m, n] : {std::pair{1, 1}, {5, 9}, {24, 24}, {64, 64},
                             {100, 131}, {131, 100}}) {
     const ToeplitzMatrix t = ToeplitzMatrix::Random(m, n, rng);
     for (int trial = 0; trial < 8; ++trial) {
@@ -179,7 +179,7 @@ TEST(PackedToeplitzTest, MulMatchesRowDotReference) {
 TEST(PackedToeplitzTest, SliceMatchesPerBitReference) {
   Rng rng(33);
   const BitVec v = BitVec::Random(301, rng);
-  for (const auto [start, len] :
+  for (const auto& [start, len] :
        {std::pair{0, 301}, {0, 0}, {63, 64}, {64, 64}, {65, 1}, {130, 171},
         {300, 1}, {17, 99}}) {
     const BitVec s = v.Slice(start, len);
@@ -195,7 +195,7 @@ TEST(PackedToeplitzTest, SliceMatchesPerBitReference) {
 
 TEST(PackedAffineTest, Eval64MatchesBitVecEval) {
   Rng rng(34);
-  for (const auto [n, m] : {std::pair{1, 1}, {8, 8}, {24, 24}, {24, 3},
+  for (const auto& [n, m] : {std::pair{1, 1}, {8, 8}, {24, 24}, {24, 3},
                             {64, 64}, {33, 17}}) {
     const AffineHash h = AffineHash::SampleXor(n, m, rng);
     for (int trial = 0; trial < 64; ++trial) {

@@ -1,8 +1,8 @@
 // Tests for the obs telemetry subsystem (src/obs/): registry
-// registration and exposition, lock-free counter/gauge/histogram
-// semantics under concurrency (the TSan job runs this binary), and the
-// scoped-span tracer. Exposition goldens pin the exact JSON /
-// Prometheus renderings docs/observability.md documents.
+// registration and exposition, and lock-free counter/gauge/histogram
+// semantics under concurrency (the TSan job runs this binary).
+// Exposition goldens pin the exact JSON rendering docs/observability.md
+// documents.
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -10,7 +10,6 @@
 
 #include "gtest/gtest.h"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mcf0 {
 namespace obs {
@@ -78,12 +77,6 @@ TEST(HistogramTest, BucketBoundaries) {
   // Everything from 2^26 up lands in the overflow bucket.
   EXPECT_EQ(Histogram::BucketIndex(1u << 26), Histogram::kNumBuckets - 1);
   EXPECT_EQ(Histogram::BucketIndex(~0ull), Histogram::kNumBuckets - 1);
-
-  EXPECT_EQ(Histogram::BucketUpperBound(0), 1u);
-  EXPECT_EQ(Histogram::BucketUpperBound(1), 2u);
-  EXPECT_EQ(Histogram::BucketUpperBound(26), uint64_t{1} << 26);
-  EXPECT_EQ(Histogram::BucketUpperBound(Histogram::kNumBuckets - 1),
-            UINT64_MAX);
 }
 
 TEST(HistogramTest, ObserveCountsAndSums) {
@@ -133,38 +126,6 @@ TEST(RegistryTest, SnapshotJsonHistogramGolden) {
   }
   expected += "]}}";
   EXPECT_EQ(registry.SnapshotJson(), expected);
-}
-
-TEST(RegistryTest, TextExpositionGolden) {
-  Registry registry;
-  registry.GetCounter("test_events_total")->Increment(3);
-  registry.GetGauge("test_depth", {{"shard", "1"}})->Set(4);
-  const std::string text = registry.TextExposition();
-  EXPECT_NE(text.find("# TYPE test_events_total counter\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("test_events_total 3\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_depth gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("test_depth{shard=\"1\"} 4\n"), std::string::npos);
-}
-
-TEST(RegistryTest, TextExpositionHistogramCumulativeBuckets) {
-  Registry registry;
-  Histogram* histogram = registry.GetHistogram("lat_us", {{"op", "x"}});
-  histogram->Observe(1);  // bucket 1 (le 2)
-  histogram->Observe(3);  // bucket 2 (le 4)
-  const std::string text = registry.TextExposition();
-  EXPECT_NE(text.find("# TYPE lat_us histogram\n"), std::string::npos);
-  // Cumulative counts with le spliced into the existing label set.
-  EXPECT_NE(text.find("lat_us_bucket{op=\"x\",le=\"1\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{op=\"x\",le=\"2\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{op=\"x\",le=\"4\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{op=\"x\",le=\"+Inf\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("lat_us_sum{op=\"x\"} 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_count{op=\"x\"} 2\n"), std::string::npos);
 }
 
 TEST(RegistryTest, FlatEntriesClampsGaugesAndFlattensHistograms) {
@@ -225,7 +186,6 @@ TEST(RegistryTest, SnapshotWhileWriting) {
   for (int round = 0; round < 50; ++round) {
     (void)registry.Snapshot();
     (void)registry.SnapshotJson();
-    (void)registry.TextExposition();
     (void)registry.FlatEntries();
     // Registration is also safe while writers run.
     (void)registry.GetCounter("late_total", {{"round", "0"}});
@@ -242,52 +202,6 @@ TEST(ScopedLatencyTest, ObservesOnDestruction) {
     ScopedLatencyUs timer(&histogram);
   }
   EXPECT_EQ(histogram.Count(), 1u);
-}
-
-TEST(TraceTest, SpansRecordAndDrainAsJson) {
-  (void)DrainSpansJson();  // start from an empty ring set
-  {
-    MCF0_TRACE_SPAN("test.outer");
-    MCF0_TRACE_SPAN("test.inner");
-  }
-  const std::string json = DrainSpansJson();
-  EXPECT_NE(json.find("\"name\":\"test.outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"test.inner\""), std::string::npos);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-  // Drained means drained.
-  EXPECT_EQ(DrainSpansJson(), "[]");
-}
-
-TEST(TraceTest, RingOverwriteBumpsDroppedCounter) {
-  (void)DrainSpansJson();
-  const uint64_t dropped_before = SpansDropped();
-  for (int i = 0; i < kSpanRingCapacity + 10; ++i) {
-    MCF0_TRACE_SPAN("test.wrap");
-  }
-  EXPECT_GE(SpansDropped() - dropped_before, 10u);
-  (void)DrainSpansJson();
-}
-
-TEST(TraceTest, ConcurrentThreadsEachGetARing) {
-  (void)DrainSpansJson();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([] {
-      for (int i = 0; i < 16; ++i) {
-        MCF0_TRACE_SPAN("test.thread");
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const std::string json = DrainSpansJson();
-  size_t count = 0;
-  for (size_t pos = 0;
-       (pos = json.find("\"name\":\"test.thread\"", pos)) != std::string::npos;
-       ++pos) {
-    ++count;
-  }
-  EXPECT_EQ(count, 4u * 16u);
 }
 
 }  // namespace

@@ -442,9 +442,6 @@ class SaturatedBackend : public EngineBackend {
     return RawParams();
   }
   int universe_bits() const override { return 24; }
-  uint16_t min_sketch_format() const override {
-    return SketchCodec::kFormatV1;
-  }
   std::unique_ptr<ProducerHandle> MakeProducer() override {
     return std::make_unique<NullProducer>();
   }
@@ -452,9 +449,9 @@ class SaturatedBackend : public EngineBackend {
   uint64_t queue_capacity() const override { return 64; }
   uint64_t items_ingested() const override { return 0; }
   double SnapshotEstimate() override { return 0.0; }
-  std::string EncodeSnapshot(uint16_t) override { return {}; }
+  std::string EncodeSnapshot() override { return {}; }
   double FinalEstimate() override { return 0.0; }
-  std::string EncodeFinal(uint16_t) override { return {}; }
+  std::string EncodeFinal() override { return {}; }
 };
 
 /// Sends all of `bytes` on a blocking socket.
@@ -717,57 +714,41 @@ TEST(Serve, SilentServerSurfacesDeadlineExceeded) {
   EXPECT_EQ(connected.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST(Serve, StructuredServerRejectsV1OnlyClientAtHello) {
-  // Structured sketches have no v1 encoding; a client that can only
-  // accept format v1 must be turned away at negotiation with a status,
-  // not crash the server later when a snapshot query reaches the codec.
-  const StructuredF0Params params = StructuredParams();
-  ShardedStructuredEngine engine(params, 1);
-  StructuredEngineBackend backend(&engine);
-  ServerOptions options;
-  RunningServer running(&backend, options);
-
+/// Servers encode v2 sketches only, so a client that can only accept
+/// format v1 is turned away at negotiation with a status rather than
+/// handed frames it cannot read. The rejection is per-session: v2
+/// clients keep being served, and their sketch queries answer with v2
+/// frames.
+void ExpectV1OnlyClientRejectedAtHello(EngineBackend* backend,
+                                       StreamKind kind) {
+  RunningServer running(backend, ServerOptions());
   ClientOptions v1_only = Dial(running.port());
   v1_only.max_sketch_format = 1;
-  Result<PushClient> rejected =
-      PushClient::Connect(StreamKind::kStructured, v1_only);
+  Result<PushClient> rejected = PushClient::Connect(kind, v1_only);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kNotSupported);
   EXPECT_NE(rejected.status().message().find("too old"), std::string::npos);
 
-  // The rejection is per-session: the server keeps serving v2 clients.
-  Result<PushClient> ok =
-      PushClient::Connect(StreamKind::kStructured, Dial(running.port()));
+  Result<PushClient> ok = PushClient::Connect(kind, Dial(running.port()));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  Result<std::string> snapshot = ok.value().QuerySketch();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(SketchCodec::PeekFormatVersion(snapshot.value()).value(),
+            SketchCodec::kFormatV2);
   EXPECT_TRUE(ok.value().Close().ok());
   running.DrainAndJoin();
 }
 
-TEST(Serve, RawServerServesV1OnlyClient) {
-  // Raw sketches do have a v1 encoding, so the same hello negotiates
-  // down to v1 instead of being rejected — and snapshot queries answer
-  // with v1 frames.
-  const F0Params params = RawParams();
-  ShardedF0Engine engine(params, 1);
-  RawEngineBackend backend(&engine);
-  ServerOptions options;
-  RunningServer running(&backend, options);
+TEST(Serve, StructuredServerRejectsV1OnlyClientAtHello) {
+  ShardedStructuredEngine engine(StructuredParams(), 1);
+  StructuredEngineBackend backend(&engine);
+  ExpectV1OnlyClientRejectedAtHello(&backend, StreamKind::kStructured);
+}
 
-  ClientOptions v1_only = Dial(running.port());
-  v1_only.max_sketch_format = 1;
-  Result<PushClient> connected =
-      PushClient::Connect(StreamKind::kRaw, v1_only);
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  PushClient client = std::move(connected).value();
-  const uint64_t x = 7;
-  ASSERT_TRUE(client.Push({&x, 1}).ok());
-  Result<std::string> snapshot = client.QuerySketch();
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  wire::FrameHeader header;
-  ASSERT_TRUE(wire::ParseFrameHeader(snapshot.value(), &header).ok());
-  EXPECT_EQ(header.version, SketchCodec::kFormatV1);
-  ASSERT_TRUE(client.Close().ok());
-  running.DrainAndJoin();
+TEST(Serve, RawServerRejectsV1OnlyClientAtHello) {
+  ShardedF0Engine engine(RawParams(), 1);
+  RawEngineBackend backend(&engine);
+  ExpectV1OnlyClientRejectedAtHello(&backend, StreamKind::kRaw);
 }
 
 TEST(Serve, OutOfOrderBatchIsRejectedBeforeEngineMutation) {

@@ -333,8 +333,9 @@ TEST(StructuredSketchMergeTest, SplitDnfThenMergeEqualsSinglePass) {
     EXPECT_TRUE(merged.hashes_canonical());  // merging preserves the flag
 
     std::stringstream out;
-    const std::vector<std::string_view> views(blobs.begin(), blobs.end());
-    auto stats = MergeSketchStreams(views, SketchCodec::kFormatV2, out);
+    std::vector<LabeledSource> sources;
+    for (const std::string& blob : blobs) sources.push_back({"", blob});
+    auto stats = MergeSketchStreams(sources, out);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(out.str(), SketchCodec::Encode(single));
     EXPECT_LE(stats.value().max_resident_units, 2);
@@ -465,7 +466,7 @@ TEST(StructuredSketchMergeTest, LabeledSourcesNameTheBadShardInOnePass) {
   blobs[13][40] = static_cast<char>(blobs[13][40] ^ 0x2a);
   {
     std::stringstream out;
-    auto stats = MergeSketchStreams(sources(), SketchCodec::kFormatV2, out);
+    auto stats = MergeSketchStreams(sources(), out);
     ASSERT_FALSE(stats.ok());
     EXPECT_NE(stats.status().message().find("shard_13.mcf0"),
               std::string::npos)
@@ -478,7 +479,7 @@ TEST(StructuredSketchMergeTest, LabeledSourcesNameTheBadShardInOnePass) {
   blobs[21] = SketchCodec::Encode(other);
   {
     std::stringstream out;
-    auto stats = MergeSketchStreams(sources(), SketchCodec::kFormatV2, out);
+    auto stats = MergeSketchStreams(sources(), out);
     ASSERT_FALSE(stats.ok());
     EXPECT_NE(stats.status().message().find("shard_21.mcf0"),
               std::string::npos)
@@ -487,16 +488,6 @@ TEST(StructuredSketchMergeTest, LabeledSourcesNameTheBadShardInOnePass) {
               std::string::npos)
         << stats.status().ToString();
   }
-}
-
-TEST(StructuredSketchMergeTest, StreamingMergeRefusesV1Output) {
-  const StructuredF0Params params =
-      SmallParams(StructuredF0Algorithm::kMinimum);
-  const std::string blob =
-      SketchCodec::Encode(BuildSketch(params, MakeTerms(12, 4, 53)));
-  std::stringstream out;
-  EXPECT_FALSE(
-      MergeSketchStreams({blob, blob}, SketchCodec::kFormatV1, out).ok());
 }
 
 // ---- SketchVariant --------------------------------------------------------
@@ -587,14 +578,14 @@ TEST(CanonicalEncodeTest, FreshAndDecodedSketchesEncodeWithZeroDraws) {
     EXPECT_EQ(TotalSamplerRowDraws(), after_decode)
         << "encode-after-canonical-decode re-ran the sampler";
 
-    // v1 decode carries no attestation; the v2 re-encode takes the slow
-    // replay path (draws) and still elides correctly.
-    Result<F0Estimator> from_v1 = SketchCodec::DecodeF0Estimator(
-        SketchCodec::Encode(est, SketchCodec::kFormatV1));
-    ASSERT_TRUE(from_v1.ok());
-    EXPECT_FALSE(from_v1.value().hashes_canonical());
+    // Without the attestation (stripped through the sealed Parts
+    // exchange, as E18 does), the encode takes the slow replay path
+    // (draws) and still elides correctly.
+    F0Estimator::Parts parts = std::move(est).ReleaseParts();
+    parts.hashes_canonical = false;
+    const F0Estimator stripped = F0Estimator::FromParts(std::move(parts));
     const uint64_t before_slow = TotalSamplerRowDraws();
-    EXPECT_EQ(SketchCodec::Encode(from_v1.value()), blob);
+    EXPECT_EQ(SketchCodec::Encode(stripped), blob);
     EXPECT_GT(TotalSamplerRowDraws(), before_slow);
   }
 }

@@ -132,13 +132,11 @@ subcommand options:
   sketch  --out FILE      output sketch file (build, merge)
           --input KIND    build input: raw | dnf | range | affine
                           (default raw; dnf/range/affine build structured
-                          §5 sketches — v2-only, --algo minimum | bucketing)
+                          §5 sketches, --algo minimum | bucketing)
           --shards N      build: ingest across N worker threads (default 1)
           --producers P   build: feed the shards from P producer threads
                           (default 1; P > 1 buffers the parsed stream to
                           split it across producers)
-          --format V      wire format to write: v1 | v2      (default v2;
-                          both versions are always readable)
   serve   --host A        listen address (IPv4 or localhost) (default 127.0.0.1)
           --port P        listen port; 0 picks an ephemeral one (default 0)
           --input KIND    raw serves u64 element sessions; dnf | range |
@@ -171,8 +169,9 @@ subcommand options:
 All results are a single JSON object on stdout. A sketch built on one
 shard of a stream merges losslessly with sketches of the other shards as
 long as every build used the same --n/--eps/--delta/--seed/--algo (and
-the same --input kind); v1- and v2-encoded raw sketch files mix freely
-in one merge.
+the same --input kind). Sketch files are written in wire format v2;
+v1 files from older builds stay readable and mix freely with v2 files in
+one merge.
 )";
 
 struct CommonOptions {
@@ -188,7 +187,6 @@ struct CommonOptions {
   bool tseitin = false;
   std::string out;
   std::string input_kind = "raw";  // sketch build: raw | dnf | range | affine
-  uint16_t format = SketchCodec::kDefaultFormatVersion;
   // serve / push (the networked service; docs/serve.md).
   std::string host = "127.0.0.1";
   int port = 0;
@@ -220,15 +218,6 @@ CommonOptions ParseOptions(int argc, char** argv) {
   flags.Alias("-o", "--out");
   flags.Enum("--input", &opts.input_kind, "raw, dnf, range, or affine",
              {"raw", "dnf", "range", "affine"});
-  flags.Custom("--format", [&opts](const std::string& format) {
-    if (format == "v1" || format == "1") {
-      opts.format = SketchCodec::kFormatV1;
-    } else if (format == "v2" || format == "2") {
-      opts.format = SketchCodec::kFormatV2;
-    } else {
-      Fail("--format must be v1 or v2, got '" + format + "'", 2);
-    }
-  });
   flags.Bool("--binary-search", &opts.binary_search);
   flags.Bool("--tseitin", &opts.tseitin);
   flags.String("--host", &opts.host);
@@ -874,10 +863,6 @@ void IngestAcrossProducers(Engine& engine, std::vector<Item>& items,
 /// byte-identical to the single-pass one.
 int RunSketchBuildStructured(const CommonOptions& opts,
                              const std::string& input) {
-  if (opts.format != SketchCodec::kFormatV2) {
-    Fail("structured sketches (--input dnf|range|affine) require --format v2",
-         2);
-  }
   WallTimer timer;
   // Inputs stay in their native parsed form; only the parallel path pays
   // for a StructuredItem buffer (it must split items across producers).
@@ -931,7 +916,7 @@ int RunSketchBuildStructured(const CommonOptions& opts,
     IngestAcrossProducers(engine, items, opts.producers);
     sketch.emplace(engine.MergedSketch());
   }
-  const std::string blob = SketchCodec::Encode(*sketch, opts.format);
+  const std::string blob = SketchCodec::Encode(*sketch);
   WriteBinaryFile(opts.out, blob);
 
   JsonObject json = NewJson("sketch");
@@ -940,7 +925,7 @@ int RunSketchBuildStructured(const CommonOptions& opts,
   json.Add("input_kind", opts.input_kind);
   json.Add("kind", std::string("structured"));
   json.Add("out", opts.out);
-  json.Add("format", static_cast<int>(opts.format));
+  json.Add("format", static_cast<int>(SketchCodec::kFormatV2));
   AddStructuredSketchParams(json, sketch->params());
   json.Add("shards", opts.shards);
   json.Add("producers", opts.producers);
@@ -983,7 +968,7 @@ int RunSketchBuild(const CommonOptions& opts) {
     const F0Estimator merged = engine.MergedSketch();
     estimate = merged.Estimate();
     space_bits = merged.SpaceBits();
-    blob = SketchCodec::Encode(merged, opts.format);
+    blob = SketchCodec::Encode(merged);
   } else if (opts.shards > 1) {
     ShardedF0Engine engine(params, opts.shards);
     // Add() batches internally; MergedSketch() flushes the tail.
@@ -991,13 +976,13 @@ int RunSketchBuild(const CommonOptions& opts) {
     const F0Estimator merged = engine.MergedSketch();
     estimate = merged.Estimate();
     space_bits = merged.SpaceBits();
-    blob = SketchCodec::Encode(merged, opts.format);
+    blob = SketchCodec::Encode(merged);
   } else {
     F0Estimator estimator(params);
     elements = StreamElements(input, [&](uint64_t x) { estimator.Add(x); });
     estimate = estimator.Estimate();
     space_bits = estimator.SpaceBits();
-    blob = SketchCodec::Encode(estimator, opts.format);
+    blob = SketchCodec::Encode(estimator);
   }
   WriteBinaryFile(opts.out, blob);
 
@@ -1007,7 +992,7 @@ int RunSketchBuild(const CommonOptions& opts) {
   json.Add("input_kind", opts.input_kind);
   json.Add("kind", std::string("raw"));
   json.Add("out", opts.out);
-  json.Add("format", static_cast<int>(opts.format));
+  json.Add("format", static_cast<int>(SketchCodec::kFormatV2));
   AddSketchParams(json, params);
   json.Add("shards", opts.shards);
   json.Add("producers", opts.producers);
@@ -1050,7 +1035,7 @@ int RunSketchMerge(const CommonOptions& opts) {
       sources.push_back(LabeledSource{opts.inputs[i], blobs[i]});
     }
     const Result<SketchStreamMergeStats> merged =
-        MergeSketchStreams(sources, opts.format, out);
+        MergeSketchStreams(sources, out);
     if (!merged.ok()) {
       out.close();
       std::remove(opts.out.c_str());  // discard the partial frame
@@ -1073,7 +1058,7 @@ int RunSketchMerge(const CommonOptions& opts) {
   json.Add("action", std::string("merge"));
   json.Add("inputs", static_cast<uint64_t>(opts.inputs.size()));
   json.Add("out", opts.out);
-  json.Add("format", static_cast<int>(opts.format));
+  json.Add("format", static_cast<int>(SketchCodec::kFormatV2));
   AddVariantParams(json, merged.value());
   json.Add("estimate", merged.value().Estimate());
   json.Add("space_bits", static_cast<uint64_t>(merged.value().SpaceBits()));
