@@ -1,11 +1,12 @@
 // E17 — sketch engine throughput: the generic sharded engine vs a
 // single-threaded sketch over the same stream, in three tables:
 //
-//   1. raw sharded ingestion (ShardedF0Engine), per algorithm and shard
-//      count — the original E17 — with a batched-vs-scalar absorb
-//      column: the `span` row feeds the same stream through the
-//      span Add() (the batched-hash path the engine's workers use), so
-//      the kernel-level speedup is visible next to the sharding one;
+//   1. raw sharded ingestion (ShardedF0Engine through one Producer
+//      handle), per algorithm and shard count — the original E17 — with
+//      a batched-vs-scalar absorb column: the `span` row feeds the same
+//      stream through the span Add() (the batched-hash path the
+//      engine's workers use), so the kernel-level speedup is visible
+//      next to the sharding one;
 //   2. raw multi-producer ingestion: P producer threads feeding one
 //      4-shard engine through private Producer handles (no global
 //      producer lock on the hot path);
@@ -129,12 +130,13 @@ Measured RunSerialBatched(const F0Params& params,
 Measured RunSharded(const F0Params& params, const std::vector<uint64_t>& xs,
                     int shards) {
   ShardedF0Engine engine(params, shards);
+  ShardedF0Engine::Producer producer = engine.MakeProducer();
   WallTimer timer;
   for (size_t off = 0; off < xs.size(); off += kBatch) {
     const size_t len = std::min(kBatch, xs.size() - off);
-    engine.AddBatch(std::span<const uint64_t>(xs.data() + off, len));
+    producer.AddBatch(std::span<const uint64_t>(xs.data() + off, len));
   }
-  engine.Flush();  // the timed window covers ingestion through absorption
+  producer.Flush();  // the timed window covers ingestion through absorption
   const double secs = timer.Seconds();
   return {static_cast<double>(xs.size()) / secs, engine.Estimate()};
 }
@@ -217,15 +219,13 @@ struct SkewMeasured {
 SkewMeasured RunSkewed(const F0Params& params, const std::vector<uint64_t>& xs,
                        int shards, int producers) {
   auto built = std::make_shared<std::atomic<int>>(0);
-  ShardedEngineOptions options;
-  options.batch_size = kSkewBatch;
   ShardedEngine<SlowShardSketch, uint64_t> engine(
       [params, built] {
         SlowShardSketch sketch{F0Estimator(params)};
         sketch.slow = built->fetch_add(1) == 0;
         return sketch;
       },
-      shards, options);
+      shards, kSkewBatch);
   WallTimer timer;
   std::vector<std::thread> threads;
   threads.reserve(producers);
@@ -296,9 +296,12 @@ StructuredMeasured RunStructuredSharded(const StructuredF0Params& params,
                                         const std::vector<Term>& terms,
                                         int shards) {
   ShardedStructuredEngine engine(params, shards);
+  ShardedStructuredEngine::Producer producer = engine.MakeProducer();
   WallTimer timer;
-  for (const Term& t : terms) engine.AddTerms({t});
-  engine.Flush();
+  for (const Term& t : terms) {
+    producer.Add(StructuredItem(std::vector<Term>{t}));
+  }
+  producer.Flush();
   const double secs = timer.Seconds();
   StructuredF0 merged = engine.MergedSketch();
   return {static_cast<double>(terms.size()) / secs, merged.Estimate(),
@@ -482,13 +485,14 @@ int main(int argc, char** argv) {
   {
     const F0Params params = BenchParams(F0Algorithm::kMinimum);
     ShardedF0Engine engine(params, 4);
+    ShardedF0Engine::Producer producer = engine.MakeProducer();
     const size_t warm = std::min<size_t>(256, xs.size());
     for (int i = 0; i < 8; ++i) {
-      engine.AddBatch(std::span<const uint64_t>(xs.data(), warm));
+      producer.AddBatch(std::span<const uint64_t>(xs.data(), warm));
     }
     (void)engine.Estimate();  // the one allowed full build
-    engine.Add(1);            // one buffered element -> one shard's batch
-    std::thread flusher([&engine] { engine.Flush(); });
+    producer.Add(1);          // one buffered element -> one shard's batch
+    std::thread flusher([&producer] { producer.Flush(); });
     for (int i = 0; i < 2000 && engine.cache_partial_rebuilds() == 0; ++i) {
       (void)engine.SnapshotEstimate();
       std::this_thread::sleep_for(std::chrono::microseconds(50));

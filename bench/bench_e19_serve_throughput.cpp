@@ -74,7 +74,7 @@ struct Measured {
 Measured ServeRound(const F0Params& params, const std::vector<uint64_t>& stream,
                     int clients, const std::string& expected_bytes) {
   ShardedF0Engine engine(params, 4);
-  net::RawEngineBackend backend(&engine);
+  net::ShardedEngineBackend backend(&engine);
   net::ServerOptions options;
   options.max_batch_items = 2048;
   net::SketchServer server(&backend, options);

@@ -9,30 +9,30 @@
 /// sketch a single-threaded pass over the whole stream would have
 /// produced, no matter how items are split across shards or producers.
 ///
-/// The engine is generic over the sketch and its item type through two
-/// ADL customization points:
+/// The engine is generic over the sketch and its item type through ADL
+/// customization points:
 ///
-///   * `AbsorbItem(Sketch&, const Item&)` — how a replica ingests one item
-///     (raw: `F0Estimator::Add(uint64_t)`; structured: dispatch a
-///     `StructuredItem` variant to AddTerms / AddRange / AddAffine /
-///     AddElement);
+///   * `AbsorbBatch(Sketch&, span<const Item>)` — how a replica ingests
+///     one queue batch (raw: `F0Estimator::Add(span)`). The generic
+///     fallback calls `AbsorbItem(Sketch&, const Item&)` per item
+///     (structured: dispatch a `StructuredItem` variant to AddTerms /
+///     AddRange / AddAffine / AddElement);
 ///   * `Merge(Sketch&, const Sketch&)` — the exact union the replicas are
 ///     folded with on query (already defined for both sketch kinds).
 ///
-/// Two instantiations live below: `ShardedF0Engine` (raw `uint64_t`
-/// element streams, the API PR 2 introduced) and
+/// `ShardedF0Engine` (raw `uint64_t` element streams) and
 /// `ShardedStructuredEngine` (§5 structured set streams: DNF term groups,
-/// ranges, affine spaces, singletons — the structured analogue of E17).
+/// ranges, affine spaces, singletons) are aliases of one thin template.
 ///
-/// Ingestion is *multi-producer*: any number of threads may each hold a
-/// `Producer` handle (MakeProducer()). A handle buffers items privately
-/// and hands whole batches to one bounded FIFO shared by every worker;
-/// whichever worker is free absorbs the oldest batch, so a slow replica
-/// simply takes fewer batches instead of stalling the others. The bound
-/// gives backpressure instead of unbounded memory. Every batch carries a
-/// ticket from one engine-wide sequence, so `Producer::Flush()` waits for
-/// exactly its own (and earlier) batches while other producers keep
-/// streaming.
+/// Ingestion is *multi-producer* and goes through handles only: any
+/// number of threads may each hold a `Producer` (MakeProducer()). A
+/// handle buffers items privately and hands whole batches to one bounded
+/// FIFO shared by every worker; whichever worker is free absorbs the
+/// oldest batch, so a slow replica simply takes fewer batches instead of
+/// stalling the others. The bound gives backpressure instead of
+/// unbounded memory. Every batch carries a ticket from one engine-wide
+/// sequence, so `Producer::Flush()` waits for exactly its own (and
+/// earlier) batches while other producers keep streaming.
 ///
 /// Queries merge-on-demand and are safe while producers are mid-stream.
 /// All of them are served by one incrementally maintained union: each
@@ -79,15 +79,6 @@
 #include "streaming/f0_sketch.hpp"
 
 namespace mcf0 {
-
-/// Tuning knobs for the queue/worker machinery.
-struct ShardedEngineOptions {
-  /// Items buffered by Producer::Add() before a batch is dispatched.
-  /// Large enough to amortize the queue handoff, small enough to keep
-  /// shards busy on modest streams. (Structured items are whole sets, so
-  /// the structured engine defaults much lower.)
-  size_t batch_size = 2048;
-};
 
 namespace engine_obs {
 
@@ -178,12 +169,12 @@ class ShardedEngine {
     /// handle — the item is not accepted.
     Status Add(Item item) {
       if (engine_ == nullptr) return Detached();
-      if (pending_.capacity() < engine_->options_.batch_size) {
-        pending_.reserve(engine_->options_.batch_size);
+      if (pending_.capacity() < engine_->batch_size_) {
+        pending_.reserve(engine_->batch_size_);
       }
       pending_.push_back(std::move(item));
       engine_->items_.fetch_add(1, std::memory_order_relaxed);
-      if (pending_.size() >= engine_->options_.batch_size) DispatchPending();
+      if (pending_.size() >= engine_->batch_size_) DispatchPending();
       return Status::Ok();
     }
 
@@ -250,12 +241,14 @@ class ShardedEngine {
 
   /// Spawns `num_shards` workers, each with a private replica from
   /// `factory`. num_shards >= 1; 1 degenerates to background
-  /// single-thread ingestion.
+  /// single-thread ingestion. `batch_size` is how many items
+  /// Producer::Add() buffers before it dispatches a batch: large enough
+  /// to amortize the queue handoff, small enough to keep shards busy.
   ShardedEngine(ReplicaFactory factory, int num_shards,
-                ShardedEngineOptions options = {})
-      : factory_(std::move(factory)), options_(options) {
+                size_t batch_size = 2048)
+      : factory_(std::move(factory)), batch_size_(batch_size) {
     MCF0_CHECK(num_shards >= 1);
-    MCF0_CHECK(options_.batch_size >= 1);
+    MCF0_CHECK(batch_size_ >= 1);
     shards_.reserve(num_shards);
     for (int i = 0; i < num_shards; ++i) {
       shards_.push_back(std::make_unique<Shard>(factory_()));
@@ -310,10 +303,8 @@ class ShardedEngine {
   }
 
   /// MergedSketch().Estimate() without materializing a copy: reads the
-  /// cached union directly. Cache rule (docs/engine.md): the union is
-  /// refreshed per shard, folding only replicas whose absorb generation
-  /// advanced since the last refresh — repeated queries with no absorbs
-  /// in between are pure cache hits, whatever sits in the queue.
+  /// cached union directly, so repeated queries with no absorbs in
+  /// between are pure cache hits, whatever sits in the queue.
   double Estimate() {
     Flush();
     return SnapshotEstimate();
@@ -337,17 +328,6 @@ class ShardedEngine {
   double SnapshotEstimate() {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
     return RefreshCacheLocked().Estimate();
-  }
-
-  /// Flush + total footprint across the shard replicas.
-  size_t SpaceBits() {
-    Flush();
-    size_t bits = 0;
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> sketch_lock(shard->sketch_mu);
-      bits += shard->sketch.SpaceBits();
-    }
-    return bits;
   }
 
   /// Items accepted across all producers (including any still in a
@@ -537,7 +517,7 @@ class ShardedEngine {
   }
 
   ReplicaFactory factory_;
-  ShardedEngineOptions options_;
+  const size_t batch_size_;
   std::atomic<uint64_t> items_{0};
 
   mutable std::mutex mu_;  // guards the queue state below + Shard::absorbing
@@ -558,9 +538,6 @@ class ShardedEngine {
   std::atomic<uint64_t> cache_rebuilds_{0};
   std::atomic<uint64_t> cache_partial_rebuilds_{0};
 };
-
-/// AbsorbItem customization point for raw element streams.
-inline void AbsorbItem(F0Estimator& sketch, uint64_t x) { sketch.Add(x); }
 
 /// AbsorbBatch fast path for raw element streams: the span-Add surface
 /// runs each row's hashes over the whole batch through the gf2k batch
@@ -587,151 +564,37 @@ using StructuredItem =
 /// variant to the matching StructuredF0 adder.
 void AbsorbItem(StructuredF0& sketch, const StructuredItem& item);
 
-/// Sharded parallel ingestion of raw u64 element streams — the concrete
-/// engine PR 2 introduced, now a thin veneer over the generic core. The
-/// single-producer Add/AddBatch/Flush surface is preserved (routed
-/// through a built-in producer handle); MakeProducer() opens the
-/// multi-producer path.
-class ShardedF0Engine {
+/// A `ShardedEngine` whose replicas are all `Sketch(params)` — one seed,
+/// hence identical hash functions — dispatching `kBatchSize`-item
+/// batches. Producers, queries and counters are the core's.
+template <typename Sketch, typename Item, typename Params, size_t kBatchSize>
+class SeededShardedEngine : public ShardedEngine<Sketch, Item> {
  public:
-  using Engine = ShardedEngine<F0Estimator, uint64_t>;
-  using Producer = Engine::Producer;
-
   /// Spawns `num_shards` workers, each with a private replica built from
-  /// `params` (same seed, identical hash functions). num_shards >= 1.
-  ShardedF0Engine(const F0Params& params, int num_shards)
-      : params_(params),
-        core_([params] { return F0Estimator(params); }, num_shards),
-        producer_(core_.MakeProducer()) {}
+  /// `params`. num_shards >= 1.
+  SeededShardedEngine(const Params& params, int num_shards)
+      : ShardedEngine<Sketch, Item>([params] { return Sketch(params); },
+                                    num_shards, kBatchSize),
+        params_(params) {}
 
-  /// Buffers one element on the built-in producer handle.
-  void Add(uint64_t x) { producer_.Add(x); }
+  const Params& params() const { return params_; }
 
-  /// The bulk hot path; copies the span, so the caller may reuse its
-  /// buffer immediately.
-  void AddBatch(std::span<const uint64_t> xs) { producer_.AddBatch(xs); }
-
-  /// New ingestion handles for additional producer threads.
-  Producer MakeProducer() { return core_.MakeProducer(); }
-
-  /// Drains the built-in handle's buffer and every batch it dispatched.
-  void Flush() { producer_.Flush(); }
-
-  /// Engine-wide flush + cached merge-on-query; see ShardedEngine.
-  F0Estimator MergedSketch() {
-    producer_.Flush();
-    return core_.MergedSketch();
-  }
-
-  /// Cached merged estimate; only shards that absorbed something since
-  /// the last query are refolded (ShardedEngine::Estimate).
-  double Estimate() {
-    producer_.Flush();
-    return core_.Estimate();
-  }
-
-  /// Merge without draining the queue; see ShardedEngine::SnapshotSketch.
-  F0Estimator SnapshotSketch() { return core_.SnapshotSketch(); }
-  double SnapshotEstimate() { return core_.SnapshotEstimate(); }
-
-  /// Flush + total footprint across the shard replicas.
-  size_t SpaceBits() {
-    producer_.Flush();
-    return core_.SpaceBits();
-  }
-
-  uint64_t elements_ingested() const { return core_.items_ingested(); }
-  int num_shards() const { return core_.num_shards(); }
-  const F0Params& params() const { return params_; }
-  uint64_t cache_rebuilds() const { return core_.cache_rebuilds(); }
-  uint64_t cache_partial_rebuilds() const {
-    return core_.cache_partial_rebuilds();
-  }
   /// Always 0: the shared queue has no batch owner to steal from. Kept
-  /// for the `engine.batches_stolen_share` detail that
-  /// bench/mcf0_bench/layers.cpp still reads.
+  /// only for bench/mcf0_bench/layers.cpp.
   uint64_t batches_stolen() const { return 0; }
-  uint64_t queued_batches() const { return core_.queued_batches(); }
-  uint64_t queue_capacity() const { return core_.queue_capacity(); }
 
  private:
-  F0Params params_;
-  Engine core_;
-  Producer producer_;  // after core_: destroyed (and drained) first
+  Params params_;
 };
 
-/// Sharded parallel ingestion of §5 structured set streams: items (DNF
-/// term groups, ranges, affine spaces, singletons) are sharded across
-/// same-seed StructuredF0 replicas and merged on query — the structured
-/// analogue of ShardedF0Engine, with the same multi-producer surface.
-class ShardedStructuredEngine {
- public:
-  using Engine = ShardedEngine<StructuredF0, StructuredItem>;
-  using Producer = Engine::Producer;
+/// Sharded ingestion of raw u64 element streams.
+using ShardedF0Engine =
+    SeededShardedEngine<F0Estimator, uint64_t, F0Params, 2048>;
 
-  ShardedStructuredEngine(const StructuredF0Params& params, int num_shards)
-      : params_(params),
-        core_([params] { return StructuredF0(params); }, num_shards,
-              // Structured items are whole sets — per-item work dwarfs the
-              // queue handoff, so batches stay small to keep shards busy.
-              ShardedEngineOptions{.batch_size = 16}),
-        producer_(core_.MakeProducer()) {}
-
-  /// One stream item per call, on the built-in producer handle.
-  void AddTerms(std::vector<Term> terms) {
-    producer_.Add(StructuredItem(std::move(terms)));
-  }
-  void AddRange(MultiDimRange range) {
-    producer_.Add(StructuredItem(std::move(range)));
-  }
-  void AddAffine(Gf2Matrix a, BitVec b) {
-    producer_.Add(StructuredItem(AffineSpaceItem{std::move(a), std::move(b)}));
-  }
-  void AddElement(BitVec x) { producer_.Add(StructuredItem(std::move(x))); }
-  void AddItem(StructuredItem item) { producer_.Add(std::move(item)); }
-
-  /// New ingestion handles for additional producer threads.
-  Producer MakeProducer() { return core_.MakeProducer(); }
-
-  void Flush() { producer_.Flush(); }
-
-  /// Engine-wide flush + cached merge-on-query: byte-identical (post
-  /// encode) to a single-pass StructuredF0 over the same items.
-  StructuredF0 MergedSketch() {
-    producer_.Flush();
-    return core_.MergedSketch();
-  }
-
-  double Estimate() {
-    producer_.Flush();
-    return core_.Estimate();
-  }
-
-  StructuredF0 SnapshotSketch() { return core_.SnapshotSketch(); }
-  double SnapshotEstimate() { return core_.SnapshotEstimate(); }
-
-  size_t SpaceBits() {
-    producer_.Flush();
-    return core_.SpaceBits();
-  }
-
-  uint64_t items_ingested() const { return core_.items_ingested(); }
-  int num_shards() const { return core_.num_shards(); }
-  const StructuredF0Params& params() const { return params_; }
-  uint64_t cache_rebuilds() const { return core_.cache_rebuilds(); }
-  uint64_t cache_partial_rebuilds() const {
-    return core_.cache_partial_rebuilds();
-  }
-  /// Always 0, like ShardedF0Engine::batches_stolen(); kept for
-  /// bench/mcf0_bench/layers.cpp.
-  uint64_t batches_stolen() const { return 0; }
-  uint64_t queued_batches() const { return core_.queued_batches(); }
-  uint64_t queue_capacity() const { return core_.queue_capacity(); }
-
- private:
-  StructuredF0Params params_;
-  Engine core_;
-  Producer producer_;  // after core_: destroyed (and drained) first
-};
+/// Sharded ingestion of §5 structured set streams. A structured item is
+/// a whole set whose per-item work dwarfs the queue handoff, so batches
+/// stay small to keep every shard busy.
+using ShardedStructuredEngine =
+    SeededShardedEngine<StructuredF0, StructuredItem, StructuredF0Params, 16>;
 
 }  // namespace mcf0

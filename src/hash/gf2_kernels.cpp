@@ -69,13 +69,6 @@ inline uint64_t MulSoft(uint64_t a, uint64_t b, int w, uint64_t mod_low) {
   return ReduceSoft(ClmulSoft(a, b), w, mod_low);
 }
 
-void MulVecSoft(std::span<const uint64_t> a, std::span<const uint64_t> b,
-                std::span<uint64_t> out, int w, uint64_t mod_low) {
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = MulSoft(a[i], b[i], w, mod_low);
-  }
-}
-
 /// 4-bit window table for multiplying by a fixed x: t[v] = clmul(v, x)
 /// for every nibble value v. Entries reach degree 66, so they carry a
 /// 128-bit layout.
@@ -181,15 +174,6 @@ MCF0_TARGET_CLMUL Product128 CarrylessMulClmul(uint64_t a, uint64_t b) {
           static_cast<uint64_t>(_mm_cvtsi128_si64(prod))};
 }
 
-MCF0_TARGET_CLMUL void MulVecClmul(std::span<const uint64_t> a,
-                                   std::span<const uint64_t> b,
-                                   std::span<uint64_t> out, int w,
-                                   uint64_t mod_low) {
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = MulClmul(a[i], b[i], w, mod_low);
-  }
-}
-
 MCF0_TARGET_CLMUL void HornerBatchClmul(std::span<const uint64_t> coeffs,
                                         std::span<const uint64_t> xs,
                                         std::span<uint64_t> out, int w,
@@ -240,15 +224,6 @@ MCF0_TARGET_PMULL inline uint64_t MulPmull(uint64_t a, uint64_t b, int w,
     lo ^= f.lo & mask;
   }
   return lo;
-}
-
-MCF0_TARGET_PMULL void MulVecPmull(std::span<const uint64_t> a,
-                                   std::span<const uint64_t> b,
-                                   std::span<uint64_t> out, int w,
-                                   uint64_t mod_low) {
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = MulPmull(a[i], b[i], w, mod_low);
-  }
 }
 
 MCF0_TARGET_PMULL void HornerBatchPmull(std::span<const uint64_t> coeffs,
@@ -373,10 +348,6 @@ Product128 CarrylessMulWithTier(KernelTier tier, uint64_t a, uint64_t b) {
   }
 }
 
-Product128 CarrylessMul(uint64_t a, uint64_t b) {
-  return CarrylessMulWithTier(ActiveKernelTier(), a, b);
-}
-
 uint64_t MulWithTier(KernelTier tier, uint64_t a, uint64_t b, int w,
                      uint64_t mod_low) {
   switch (tier) {
@@ -394,25 +365,11 @@ uint64_t Mul(uint64_t a, uint64_t b, int w, uint64_t mod_low) {
   return MulWithTier(ActiveKernelTier(), a, b, w, mod_low);
 }
 
-void MulVec(std::span<const uint64_t> a, std::span<const uint64_t> b,
-            std::span<uint64_t> out, int w, uint64_t mod_low) {
-  MCF0_CHECK(a.size() == out.size() && b.size() == out.size());
-  switch (ActiveKernelTier()) {
-#if defined(MCF0_GF2K_X86)
-    case KernelTier::kClmul: MulVecClmul(a, b, out, w, mod_low); return;
-#endif
-#if defined(MCF0_GF2K_ARM)
-    case KernelTier::kPmull: MulVecPmull(a, b, out, w, mod_low); return;
-#endif
-    default: MulVecSoft(a, b, out, w, mod_low); return;
-  }
-}
-
-void HornerBatchWithTier(KernelTier tier, std::span<const uint64_t> coeffs,
-                         std::span<const uint64_t> xs, std::span<uint64_t> out,
-                         int w, uint64_t mod_low) {
+void HornerBatch(std::span<const uint64_t> coeffs,
+                 std::span<const uint64_t> xs, std::span<uint64_t> out, int w,
+                 uint64_t mod_low) {
   MCF0_CHECK(!coeffs.empty() && xs.size() == out.size());
-  switch (tier) {
+  switch (ActiveKernelTier()) {
 #if defined(MCF0_GF2K_X86)
     case KernelTier::kClmul:
       HornerBatchClmul(coeffs, xs, out, w, mod_low);
@@ -425,12 +382,6 @@ void HornerBatchWithTier(KernelTier tier, std::span<const uint64_t> coeffs,
 #endif
     default: HornerBatchSoft(coeffs, xs, out, w, mod_low); return;
   }
-}
-
-void HornerBatch(std::span<const uint64_t> coeffs,
-                 std::span<const uint64_t> xs, std::span<uint64_t> out, int w,
-                 uint64_t mod_low) {
-  HornerBatchWithTier(ActiveKernelTier(), coeffs, xs, out, w, mod_low);
 }
 
 }  // namespace gf2k

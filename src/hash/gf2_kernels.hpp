@@ -18,10 +18,10 @@
 /// reported through the `mcf0_hash_kernel_tier` gauge so `mcf0 serve`
 /// stats show which kernel is live.
 ///
-/// The batch entry points (`MulVec`, `HornerBatch`) hoist the tier
-/// switch, the modulus, and the field mask out of the element loop —
-/// that amortization is where most of the batched-absorb speedup comes
-/// from even before the carry-less multiply gets hardware help.
+/// The batch entry point (`HornerBatch`) hoists the tier switch, the
+/// modulus, and the field mask out of the element loop — that
+/// amortization is where most of the batched-absorb speedup comes from
+/// even before the carry-less multiply gets hardware help.
 #pragma once
 
 #include <cstdint>
@@ -67,11 +67,8 @@ struct Product128 {
   uint64_t lo = 0;
 };
 
-/// Carry-less 64x64 -> 128 multiply on the active tier.
-Product128 CarrylessMul(uint64_t a, uint64_t b);
-
-/// Carry-less multiply on an explicit tier (parity tests; requires
-/// KernelTierAvailable(tier)).
+/// Carry-less 64x64 -> 128 multiply on an explicit tier (parity tests;
+/// requires KernelTierAvailable(tier)).
 Product128 CarrylessMulWithTier(KernelTier tier, uint64_t a, uint64_t b);
 
 /// Field multiply in GF(2^w) with modulus x^w + mod_low: carry-less
@@ -85,25 +82,15 @@ uint64_t Mul(uint64_t a, uint64_t b, int w, uint64_t mod_low);
 uint64_t MulWithTier(KernelTier tier, uint64_t a, uint64_t b, int w,
                      uint64_t mod_low);
 
-/// Element-wise field multiply: out[i] = a[i] * b[i] in GF(2^w). Spans
-/// must have equal length (out may alias a or b). The tier switch and
-/// modulus setup are hoisted out of the loop.
-void MulVec(std::span<const uint64_t> a, std::span<const uint64_t> b,
-            std::span<uint64_t> out, int w, uint64_t mod_low);
-
 /// Batched Horner evaluation of the degree-(s-1) polynomial with
 /// coefficient masks `coeffs` (constant term first) at each point of
 /// `xs`: out[i] = h(xs[i] & mask). One batch shares the coefficient
 /// array, modulus, and kernel selection across all elements; the result
-/// equals s-1 scalar Mul/XOR steps per element, bit for bit.
+/// equals s-1 scalar Mul/XOR steps per element, bit for bit. Active
+/// tier.
 void HornerBatch(std::span<const uint64_t> coeffs,
                  std::span<const uint64_t> xs, std::span<uint64_t> out, int w,
                  uint64_t mod_low);
-
-/// HornerBatch on an explicit tier (parity tests / tier benches).
-void HornerBatchWithTier(KernelTier tier, std::span<const uint64_t> coeffs,
-                         std::span<const uint64_t> xs, std::span<uint64_t> out,
-                         int w, uint64_t mod_low);
 
 }  // namespace gf2k
 }  // namespace mcf0

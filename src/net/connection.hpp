@@ -5,11 +5,11 @@
 /// A `Connection` owns one accepted socket and speaks the protocol of
 /// protocol.hpp: hello/welcome negotiation, credit-metered batches,
 /// live queries, drain, goodbye. It talks to the sketch engine only
-/// through `EngineBackend` — the type-erased veneer over
-/// `ShardedF0Engine` / `ShardedStructuredEngine` that keeps the net
-/// layer ignorant of which item alphabet is behind the socket (and
-/// keeps src/net inside the sealed sketch API: no replica access, only
-/// producer handles and snapshot queries).
+/// through `EngineBackend` — the type-erased surface that
+/// `ShardedEngineBackend` (server.hpp) implements over either sharded
+/// engine, keeping the net layer ignorant of which item alphabet is
+/// behind the socket (and keeping src/net inside the sealed sketch API:
+/// no replica access, only producer handles and snapshot queries).
 #pragma once
 
 #include <cstdint>

@@ -16,39 +16,9 @@ namespace net {
 
 namespace {
 
-/// Transport producer over a raw-engine handle.
-class RawProducerHandle : public ProducerHandle {
- public:
-  explicit RawProducerHandle(ShardedF0Engine::Producer producer)
-      : producer_(std::move(producer)) {}
-
-  Status PushRaw(std::span<const uint64_t> items) override {
-    return producer_.AddBatch(items);
-  }
-  Status Close() override { return producer_.Close(); }
-
- private:
-  ShardedF0Engine::Producer producer_;
-};
-
-/// Transport producer over a structured-engine handle.
-class StructuredProducerHandle : public ProducerHandle {
- public:
-  explicit StructuredProducerHandle(ShardedStructuredEngine::Producer producer)
-      : producer_(std::move(producer)) {}
-
-  Status PushStructured(std::span<StructuredItem> items) override {
-    for (StructuredItem& item : items) {
-      const Status status = producer_.Add(std::move(item));
-      if (!status.ok()) return status;
-    }
-    return Status::Ok();
-  }
-  Status Close() override { return producer_.Close(); }
-
- private:
-  ShardedStructuredEngine::Producer producer_;
-};
+/// How long the listener stays unwatched after accept() runs out of
+/// descriptors.
+constexpr int64_t kAcceptBackoffMs = 50;
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -57,14 +27,6 @@ int64_t NowMs() {
 }
 
 }  // namespace
-
-std::unique_ptr<ProducerHandle> RawEngineBackend::MakeProducer() {
-  return std::make_unique<RawProducerHandle>(engine_->MakeProducer());
-}
-
-std::unique_ptr<ProducerHandle> StructuredEngineBackend::MakeProducer() {
-  return std::make_unique<StructuredProducerHandle>(engine_->MakeProducer());
-}
 
 SketchServer::SketchServer(EngineBackend* backend, ServerOptions options)
     : backend_(backend), options_(std::move(options)) {}
@@ -94,8 +56,15 @@ Status SketchServer::AcceptAll() {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::Ok();
       if (errno == EINTR) continue;
-      // Transient per-connection failures (ECONNABORTED, EMFILE...)
-      // should not kill the serve loop.
+      if (errno == EMFILE || errno == ENFILE) {
+        // The pending connection keeps the level-triggered listener
+        // readable, so polling it again at once would spin: back off.
+        poller_.Unwatch(listener_.get());
+        accept_resume_ms_ = NowMs() + kAcceptBackoffMs;
+        return Status::Ok();
+      }
+      // Transient per-connection failures (ECONNABORTED...) should not
+      // kill the serve loop.
       return Status::Ok();
     }
     ScopedFd conn_fd(fd);
@@ -116,6 +85,7 @@ Status SketchServer::AcceptAll() {
 void SketchServer::BeginDrain() {
   if (draining_) return;
   draining_ = true;
+  accept_resume_ms_ = 0;  // the listener closes below: never re-arm it
   if (listener_.valid()) {
     poller_.Unwatch(listener_.get());
     listener_.Reset();
@@ -173,6 +143,10 @@ Status SketchServer::Run() {
         next_metrics_ms = now_ms + options_.metrics_interval_ms;
       }
     }
+    if (accept_resume_ms_ != 0 && NowMs() >= accept_resume_ms_) {
+      accept_resume_ms_ = 0;
+      poller_.Watch(listener_.get(), /*want_read=*/true, /*want_write=*/false);
+    }
     if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
       BeginDrain();
       drain_deadline_ms = NowMs() + options_.drain_timeout_ms;
@@ -188,8 +162,8 @@ Status SketchServer::Run() {
 
     // A short timeout while any client sits below a full window keeps
     // credit grants flowing even with no inbound traffic (the engine
-    // drains its queue without notifying the loop). Draining also
-    // polls on a bound so the deadline fires.
+    // drains its queue without notifying the loop). The drain deadline,
+    // the metrics tick and the accept back-off bound the poll too.
     int timeout_ms = -1;
     for (const auto& conn : connections_) {
       if (conn->credits_starved()) {
@@ -197,16 +171,14 @@ Status SketchServer::Run() {
         break;
       }
     }
-    if (draining_) {
-      const int64_t left = drain_deadline_ms - NowMs();
+    const auto bound_until = [&timeout_ms](int64_t deadline_ms) {
+      const int64_t left = deadline_ms - NowMs();
       const int bounded = static_cast<int>(left < 1 ? 1 : left);
       if (timeout_ms < 0 || bounded < timeout_ms) timeout_ms = bounded;
-    }
-    if (next_metrics_ms != 0) {
-      const int64_t left = next_metrics_ms - NowMs();
-      const int bounded = static_cast<int>(left < 1 ? 1 : left);
-      if (timeout_ms < 0 || bounded < timeout_ms) timeout_ms = bounded;
-    }
+    };
+    if (draining_) bound_until(drain_deadline_ms);
+    if (next_metrics_ms != 0) bound_until(next_metrics_ms);
+    if (accept_resume_ms_ != 0) bound_until(accept_resume_ms_);
 
     const Status status = poller_.Wait(timeout_ms, &events);
     if (!status.ok()) return status;

@@ -12,7 +12,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -24,49 +27,63 @@
 namespace mcf0 {
 namespace net {
 
-/// EngineBackend over ShardedF0Engine (raw u64 streams).
-class RawEngineBackend : public EngineBackend {
- public:
-  explicit RawEngineBackend(ShardedF0Engine* engine) : engine_(engine) {}
+/// The stream kind an engine serves: raw u64 elements or §5 items.
+template <typename Engine>
+inline constexpr StreamKind kEngineKind =
+    std::is_same_v<Engine, ShardedF0Engine> ? StreamKind::kRaw
+                                            : StreamKind::kStructured;
 
-  StreamKind kind() const override { return StreamKind::kRaw; }
-  std::variant<F0Params, StructuredF0Params> params() const override {
-    return engine_->params();
+/// The transport producer over one engine `Producer` handle. A raw frame
+/// is queued as one batch; a structured frame goes in one `Add` per
+/// item, so a large frame is still cut into the engine's small batches
+/// and spread over the shards. The other Push stays kNotSupported.
+template <typename Engine>
+class EngineProducerHandle : public ProducerHandle {
+ public:
+  explicit EngineProducerHandle(typename Engine::Producer producer)
+      : producer_(std::move(producer)) {}
+
+  Status PushRaw(std::span<const uint64_t> items) override {
+    if constexpr (kEngineKind<Engine> == StreamKind::kRaw) {
+      return producer_.AddBatch(items);
+    } else {
+      return ProducerHandle::PushRaw(items);
+    }
   }
-  int universe_bits() const override { return engine_->params().n; }
-  std::unique_ptr<ProducerHandle> MakeProducer() override;
-  uint64_t queued_batches() override { return engine_->queued_batches(); }
-  uint64_t queue_capacity() const override {
-    return engine_->queue_capacity();
+  Status PushStructured(std::span<StructuredItem> items) override {
+    if constexpr (kEngineKind<Engine> == StreamKind::kRaw) {
+      return ProducerHandle::PushStructured(items);
+    } else {
+      for (StructuredItem& item : items) {
+        const Status status = producer_.Add(std::move(item));
+        if (!status.ok()) return status;
+      }
+      return Status::Ok();
+    }
   }
-  uint64_t items_ingested() const override {
-    return engine_->elements_ingested();
-  }
-  double SnapshotEstimate() override { return engine_->SnapshotEstimate(); }
-  std::string EncodeSnapshot() override {
-    return SketchCodec::Encode(engine_->SnapshotSketch());
-  }
-  double FinalEstimate() override { return engine_->Estimate(); }
-  std::string EncodeFinal() override {
-    return SketchCodec::Encode(engine_->MergedSketch());
-  }
+  Status Close() override { return producer_.Close(); }
 
  private:
-  ShardedF0Engine* engine_;
+  typename Engine::Producer producer_;
 };
 
-/// EngineBackend over ShardedStructuredEngine (§5 structured streams).
-class StructuredEngineBackend : public EngineBackend {
+/// The EngineBackend over either sharded engine (`ShardedF0Engine` or
+/// `ShardedStructuredEngine`); construct with CTAD from an engine
+/// pointer.
+template <typename Engine>
+class ShardedEngineBackend : public EngineBackend {
  public:
-  explicit StructuredEngineBackend(ShardedStructuredEngine* engine)
-      : engine_(engine) {}
+  explicit ShardedEngineBackend(Engine* engine) : engine_(engine) {}
 
-  StreamKind kind() const override { return StreamKind::kStructured; }
+  StreamKind kind() const override { return kEngineKind<Engine>; }
   std::variant<F0Params, StructuredF0Params> params() const override {
     return engine_->params();
   }
   int universe_bits() const override { return engine_->params().n; }
-  std::unique_ptr<ProducerHandle> MakeProducer() override;
+  std::unique_ptr<ProducerHandle> MakeProducer() override {
+    return std::make_unique<EngineProducerHandle<Engine>>(
+        engine_->MakeProducer());
+  }
   uint64_t queued_batches() override { return engine_->queued_batches(); }
   uint64_t queue_capacity() const override {
     return engine_->queue_capacity();
@@ -84,7 +101,7 @@ class StructuredEngineBackend : public EngineBackend {
   }
 
  private:
-  ShardedStructuredEngine* engine_;
+  Engine* engine_;
 };
 
 struct ServerOptions {
@@ -142,6 +159,9 @@ class SketchServer {
   Poller poller_;
   std::atomic<bool> drain_requested_{false};
   bool draining_ = false;
+  /// Nonzero while accept() is out of descriptors: the listener stays
+  /// unwatched until this steady-clock time, in milliseconds.
+  int64_t accept_resume_ms_ = 0;
   std::vector<std::unique_ptr<Connection>> connections_;
 
   double final_estimate_ = 0.0;

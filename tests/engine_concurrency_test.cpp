@@ -121,7 +121,7 @@ TEST(MultiProducerEngineTest, FourProducersFourShardsMatchSequentialExactly) {
       }
       for (auto& thread : threads) thread.join();
     }
-    EXPECT_EQ(engine.elements_ingested(), xs.size());
+    EXPECT_EQ(engine.items_ingested(), xs.size());
     F0Estimator merged = engine.MergedSketch();
     EXPECT_EQ(SketchCodec::Encode(merged), SketchCodec::Encode(sequential));
     EXPECT_DOUBLE_EQ(engine.Estimate(), sequential.Estimate());
@@ -201,9 +201,10 @@ TEST(ShardedEngineCacheTest, RepeatedQueriesFoldTheShardsOnce) {
   // must not re-merge.
   const F0Params params = SmallParams(F0Algorithm::kMinimum);
   ShardedF0Engine engine(params, 4);
+  ShardedF0Engine::Producer producer = engine.MakeProducer();
   // Support 15 < thresh 20 keeps every query in the exact regime, so the
   // post-invalidation estimate is pinned to +1.
-  engine.AddBatch(RandomStream(2000, 15, 74));
+  producer.AddBatch(RandomStream(2000, 15, 74));
 
   const double first = engine.Estimate();
   EXPECT_DOUBLE_EQ(first, 15.0);
@@ -220,7 +221,8 @@ TEST(ShardedEngineCacheTest, RepeatedQueriesFoldTheShardsOnce) {
   // Ingestion invalidates: the next query re-merges and sees the element.
   // Only one shard absorbed anything new, so the refresh is partial — it
   // folds that one replica, not all four.
-  engine.Add(1u << 22);
+  producer.Add(1u << 22);
+  producer.Flush();
   EXPECT_DOUBLE_EQ(engine.Estimate(), first + 1.0);  // exact regime
   EXPECT_EQ(engine.cache_rebuilds(), 2u);
   EXPECT_EQ(engine.cache_partial_rebuilds(), 1u);
@@ -232,15 +234,17 @@ TEST(ShardedEngineCacheTest, SingleShardUpdateTriggersPartialRebuild) {
   // as a rebuild that is also counted partial.
   const F0Params params = SmallParams(F0Algorithm::kMinimum);
   ShardedF0Engine engine(params, 4);
+  ShardedF0Engine::Producer producer = engine.MakeProducer();
   const std::vector<uint64_t> xs = RandomStream(2048, 15, 78);
   // Eight single-batch dispatches, spread over whichever workers are free.
-  for (int i = 0; i < 8; ++i) engine.AddBatch(xs);
+  for (int i = 0; i < 8; ++i) producer.AddBatch(xs);
 
   EXPECT_DOUBLE_EQ(engine.Estimate(), 15.0);
   ASSERT_EQ(engine.cache_rebuilds(), 1u);
   EXPECT_EQ(engine.cache_partial_rebuilds(), 0u);  // initial build: not partial
 
-  engine.Add(1u << 22);  // one batch, one shard
+  producer.Add(1u << 22);
+  producer.Flush();  // one batch, one shard
   EXPECT_DOUBLE_EQ(engine.Estimate(), 16.0);
   EXPECT_EQ(engine.cache_rebuilds(), 2u);
   EXPECT_EQ(engine.cache_partial_rebuilds(), 1u);
@@ -313,15 +317,13 @@ TEST(ShardedEngineCacheTest, QueuedBatchesDoNotThrashTheCache) {
   // flight but absorbs quiescent, repeated SnapshotEstimate() polls
   // perform zero rebuilds.
   AbsorbGate gate;
-  ShardedEngineOptions options;
-  options.batch_size = 4;
   ShardedEngine<GatedSketch, uint64_t> engine(
       [&gate] {
         GatedSketch sketch;
         sketch.gate = &gate;
         return sketch;
       },
-      2, options);
+      2, /*batch_size=*/4);
   auto producer = engine.MakeProducer();
   for (uint64_t x = 0; x < 8; ++x) producer.Add(x);  // two full batches
   producer.Flush();
@@ -426,10 +428,8 @@ ShardedEngine<SlowShardSketch, uint64_t>::ReplicaFactory SlowShardFactory(
 SlowShardSketch IngestWithSlowShard(const F0Params& params,
                                     const std::vector<uint64_t>& xs) {
   auto built = std::make_shared<std::atomic<int>>(0);
-  ShardedEngineOptions options;
-  options.batch_size = 16;
   ShardedEngine<SlowShardSketch, uint64_t> engine(
-      SlowShardFactory(params, built), 4, options);
+      SlowShardFactory(params, built), 4, /*batch_size=*/16);
   std::vector<std::thread> threads;
   for (int p = 0; p < 4; ++p) {
     threads.emplace_back([&engine, &xs, p] {
@@ -473,10 +473,8 @@ TEST(SkewedReplicaTest, FlushCoversExactlyOwnBatches) {
   // them — and none of another producer's unflushed buffer.
   const F0Params params = SmallParams(F0Algorithm::kBucketing);
   auto built = std::make_shared<std::atomic<int>>(0);
-  ShardedEngineOptions options;
-  options.batch_size = 16;
   ShardedEngine<SlowShardSketch, uint64_t> engine(
-      SlowShardFactory(params, built), 3, options);
+      SlowShardFactory(params, built), 3, /*batch_size=*/16);
 
   auto loud = engine.MakeProducer();
   auto quiet = engine.MakeProducer();
@@ -510,10 +508,8 @@ TEST(SkewedReplicaTest, BatchedAbsorbsStayByteIdenticalAndFlushExact) {
     F0Estimator sequential(params);
     for (const uint64_t x : xs) sequential.Add(x);
 
-    ShardedEngineOptions options;
-    options.batch_size = 32;
     ShardedEngine<F0Estimator, uint64_t> engine(
-        [params] { return F0Estimator(params); }, 3, options);
+        [params] { return F0Estimator(params); }, 3, /*batch_size=*/32);
     {
       std::vector<std::thread> threads;
       for (int p = 0; p < 4; ++p) {
@@ -583,15 +579,13 @@ TEST(SkewedReplicaTest, StructuredStreamStaysByteIdentical) {
   for (const Term& t : terms) single.AddTerms({t});
 
   auto built = std::make_shared<std::atomic<int>>(0);
-  ShardedEngineOptions options;
-  options.batch_size = 1;  // one item per batch: maximal queue traffic
   ShardedEngine<SlowStructuredSketch, StructuredItem> engine(
       [params, built] {
         SlowStructuredSketch sketch{StructuredF0(params)};
         sketch.slow = built->fetch_add(1) == 0;
         return sketch;
       },
-      3, options);
+      3, /*batch_size=*/1);  // one item per batch: maximal queue traffic
   {
     std::vector<std::thread> threads;
     for (int p = 0; p < 2; ++p) {
@@ -682,10 +676,13 @@ TEST(ShardedStructuredEngineTest, MixedItemKindsMatchSinglePass) {
   single.AddElement(BitVec::FromU64(200, 8));
 
   ShardedStructuredEngine engine(params, 2);
-  engine.AddTerms(terms);
-  engine.AddRange(range);
-  engine.AddAffine(a, b);
-  engine.AddElement(BitVec::FromU64(200, 8));
+  {
+    ShardedStructuredEngine::Producer producer = engine.MakeProducer();
+    producer.Add(StructuredItem(terms));
+    producer.Add(StructuredItem(range));
+    producer.Add(StructuredItem(AffineSpaceItem{a, b}));
+    producer.Add(StructuredItem(BitVec::FromU64(200, 8)));
+  }
 
   EXPECT_EQ(SketchCodec::Encode(engine.MergedSketch()),
             SketchCodec::Encode(single));

@@ -674,12 +674,17 @@ TEST(ShardedEngineTest, MatchesSequentialIngestionExactly) {
     for (const uint64_t x : xs) sequential.Add(x);
 
     ShardedF0Engine engine(params, 4);
-    // Mix the two ingestion paths: batches and single elements.
-    const size_t half = xs.size() / 2;
-    engine.AddBatch(std::span<const uint64_t>(xs.data(), half));
-    for (size_t i = half; i < xs.size(); ++i) engine.Add(xs[i]);
+    {
+      // Mix the two ingestion paths: batches and single elements. The
+      // handle is dropped unflushed: its destructor dispatches the tail,
+      // and MergedSketch() must wait for it.
+      ShardedF0Engine::Producer producer = engine.MakeProducer();
+      const size_t half = xs.size() / 2;
+      producer.AddBatch(std::span<const uint64_t>(xs.data(), half));
+      for (size_t i = half; i < xs.size(); ++i) producer.Add(xs[i]);
+    }
 
-    EXPECT_EQ(engine.elements_ingested(), xs.size());
+    EXPECT_EQ(engine.items_ingested(), xs.size());
     F0Estimator merged = engine.MergedSketch();
     EXPECT_EQ(SketchCodec::Encode(merged), SketchCodec::Encode(sequential));
     EXPECT_DOUBLE_EQ(engine.Estimate(), sequential.Estimate());
@@ -691,13 +696,15 @@ TEST(ShardedEngineTest, SingleShardAndRepeatedQueries) {
   ShardedF0Engine engine(params, 1);
   EXPECT_EQ(engine.Estimate(), 0.0);  // empty
 
+  ShardedF0Engine::Producer producer = engine.MakeProducer();
   const std::vector<uint64_t> xs = RandomStream(500, 15, 62);
-  engine.AddBatch(xs);
+  producer.AddBatch(xs);
   EXPECT_DOUBLE_EQ(engine.Estimate(), 15.0);  // exact regime: 15 < thresh
   // Queries are non-destructive; ingestion continues afterwards.
-  engine.Add(1u << 20);
+  producer.Add(1u << 20);
+  producer.Flush();
   EXPECT_DOUBLE_EQ(engine.Estimate(), 16.0);
-  EXPECT_GT(engine.SpaceBits(), 0u);
+  EXPECT_GT(engine.MergedSketch().SpaceBits(), 0u);
 }
 
 TEST(ShardedEngineTest, ProducerCloseIsIdempotentFlushAndDetach) {
@@ -714,7 +721,7 @@ TEST(ShardedEngineTest, ProducerCloseIsIdempotentFlushAndDetach) {
   // absorbed and visible to queries.
   EXPECT_TRUE(producer.Close().ok());
   EXPECT_TRUE(producer.closed());
-  EXPECT_EQ(engine.elements_ingested(), xs.size() + 1);
+  EXPECT_EQ(engine.items_ingested(), xs.size() + 1);
   EXPECT_DOUBLE_EQ(engine.Estimate(), 13.0);  // exact regime: 13 < thresh
 
   // Detached: nothing slips in afterwards, and the rejection says why.
@@ -723,7 +730,7 @@ TEST(ShardedEngineTest, ProducerCloseIsIdempotentFlushAndDetach) {
   EXPECT_EQ(add.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(producer.AddBatch({&late, 1}).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.elements_ingested(), xs.size() + 1);
+  EXPECT_EQ(engine.items_ingested(), xs.size() + 1);
 
   // Idempotent: more Close (and Flush) calls are harmless no-ops.
   EXPECT_TRUE(producer.Close().ok());
@@ -755,7 +762,8 @@ TEST(ShardedEngineTest, QueueBackpressureSignalsAreSane) {
   EXPECT_EQ(engine.queue_capacity(), capacity);
   // ...and the queued count stays inside it, ending at zero once a
   // flush has drained the queue.
-  engine.AddBatch(RandomStream(5000, 900, 65));
+  ShardedF0Engine::Producer producer = engine.MakeProducer();
+  producer.AddBatch(RandomStream(5000, 900, 65));
   EXPECT_LE(engine.queued_batches(), engine.queue_capacity());
   engine.Flush();
   EXPECT_EQ(engine.queued_batches(), 0u);
@@ -764,7 +772,8 @@ TEST(ShardedEngineTest, QueueBackpressureSignalsAreSane) {
 TEST(ShardedEngineTest, ShardedSketchSurvivesCodecRoundTrip) {
   const F0Params params = SmallParams(F0Algorithm::kBucketing);
   ShardedF0Engine engine(params, 3);
-  engine.AddBatch(RandomStream(1200, 500, 63));
+  ShardedF0Engine::Producer producer = engine.MakeProducer();
+  producer.AddBatch(RandomStream(1200, 500, 63));
   const F0Estimator merged = engine.MergedSketch();
   Result<F0Estimator> decoded =
       SketchCodec::DecodeF0Estimator(SketchCodec::Encode(merged));

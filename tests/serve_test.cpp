@@ -7,8 +7,14 @@
 // for a slow consumer.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <time.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -111,7 +117,7 @@ ClientOptions Dial(int port) {
 TEST(Serve, FourRawClientsAreByteIdenticalToSinglePass) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 3);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   options.max_batch_items = 256;
   RunningServer running(&backend, options);
@@ -210,7 +216,7 @@ std::vector<StructuredItem> StructuredStream(int salt, size_t count) {
 TEST(Serve, StructuredClientsAreByteIdenticalToSinglePass) {
   const StructuredF0Params params = StructuredParams();
   ShardedStructuredEngine engine(params, 2);
-  StructuredEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   options.max_batch_items = 16;
   RunningServer running(&backend, options);
@@ -259,7 +265,7 @@ TEST(Serve, StructuredClientsAreByteIdenticalToSinglePass) {
 TEST(Serve, MidStreamQueryRacesLivePushes) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 2);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   options.max_batch_items = 128;
   RunningServer running(&backend, options);
@@ -307,7 +313,7 @@ TEST(Serve, MidStreamQueryRacesLivePushes) {
 TEST(Serve, DrainKeepsEveryAcknowledgedBatch) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 2);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   options.credit_window = 16;  // roomy: drain stops new grants
   options.max_batch_items = 64;
@@ -360,7 +366,7 @@ TEST(Serve, DrainKeepsEveryAcknowledgedBatch) {
 TEST(Serve, DrainRefusesNewSessions) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 1);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   RunningServer running(&backend, options);
 
@@ -395,7 +401,7 @@ TEST(Serve, DrainRefusesNewSessions) {
 TEST(Serve, HonestClientStaysInsideTheCreditWindow) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 2);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   options.credit_window = 2;
   options.max_batch_items = 64;
@@ -536,7 +542,7 @@ TEST(Serve, SlowConsumerStopsGrantsAndViolatorsAreCutOff) {
 TEST(Serve, StatsQueryReportsExactCountersAfterConcurrentPushes) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 2);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   // Zero the process-wide registry so every asserted counter below is
   // exactly what this test's traffic produced.
   obs::Registry::Global().ResetForTest();
@@ -654,7 +660,7 @@ TEST(Serve, StatsQueryMidStreamRacesLivePushes) {
   // session must keep streaming afterwards.
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 2);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   obs::Registry::Global().ResetForTest();
   ServerOptions options;
   options.max_batch_items = 128;
@@ -684,7 +690,7 @@ TEST(Serve, StatsQueryMidStreamRacesLivePushes) {
 TEST(Serve, StreamKindMismatchIsRejectedAtHello) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 1);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   RunningServer running(&backend, options);
 
@@ -741,20 +747,20 @@ void ExpectV1OnlyClientRejectedAtHello(EngineBackend* backend,
 
 TEST(Serve, StructuredServerRejectsV1OnlyClientAtHello) {
   ShardedStructuredEngine engine(StructuredParams(), 1);
-  StructuredEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ExpectV1OnlyClientRejectedAtHello(&backend, StreamKind::kStructured);
 }
 
 TEST(Serve, RawServerRejectsV1OnlyClientAtHello) {
   ShardedF0Engine engine(RawParams(), 1);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ExpectV1OnlyClientRejectedAtHello(&backend, StreamKind::kRaw);
 }
 
 TEST(Serve, OutOfOrderBatchIsRejectedBeforeEngineMutation) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 1);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   options.max_batch_items = 64;
   RunningServer running(&backend, options);
@@ -797,7 +803,7 @@ TEST(Serve, OutOfOrderBatchIsRejectedBeforeEngineMutation) {
 TEST(Serve, ClosedClientRefusesFurtherUse) {
   const F0Params params = RawParams();
   ShardedF0Engine engine(params, 1);
-  RawEngineBackend backend(&engine);
+  ShardedEngineBackend backend(&engine);
   ServerOptions options;
   RunningServer running(&backend, options);
 
@@ -814,6 +820,63 @@ TEST(Serve, ClosedClientRefusesFurtherUse) {
   EXPECT_EQ(client.QueryEstimate().status().code(),
             StatusCode::kFailedPrecondition);
   running.DrainAndJoin();
+}
+
+/// CPU time consumed so far by every thread of this process, in seconds.
+double ProcessCpuSeconds() {
+  timespec now{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+TEST(Serve, OutOfDescriptorsBacksOffInsteadOfSpinning) {
+  // accept() failing with EMFILE leaves the connection queued, so the
+  // level-triggered listener stays readable: a loop that polls it again
+  // at once burns a whole core. The server must back off instead, and
+  // accept again once descriptors free up.
+  ShardedF0Engine engine(RawParams(), 1);
+  ShardedEngineBackend backend(&engine);
+  RunningServer running(&backend, ServerOptions());
+
+  ScopedFd queued(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(queued.valid());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(running.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+
+  // Cap the descriptor table at its lowest free slot: from here on no
+  // thread of this process can open a descriptor, accept() included.
+  const int lowest_free = ::fcntl(queued.get(), F_DUPFD, 0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  // The kernel completes the handshake and queues the connection; the
+  // server's accept() of it fails with EMFILE.
+  const int connected = ::connect(
+      queued.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_spent = ProcessCpuSeconds() - cpu_before;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(connected, 0);
+  EXPECT_LT(cpu_spent, 0.1) << "serve loop spun on an unacceptable listener";
+
+  // With descriptors back, the server accepts again and serves a session.
+  Result<PushClient> client =
+      PushClient::Connect(StreamKind::kRaw, Dial(running.port()));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::vector<uint64_t> items = ClientSlice(0, 0, 100);
+  ASSERT_TRUE(client.value().Push(items).ok());
+  ASSERT_TRUE(client.value().Close().ok());
+  queued.Reset();
+  running.DrainAndJoin();
+  EXPECT_EQ(running.server().items_accepted(), items.size());
 }
 
 }  // namespace

@@ -354,7 +354,12 @@ TEST(StructuredSketchMergeTest, ShardedEngineEqualsSinglePassBytes) {
     const StructuredF0 single = BuildSketch(params, terms);
 
     ShardedStructuredEngine engine(params, 4);
-    for (const Term& t : terms) engine.AddTerms({t});
+    {
+      ShardedStructuredEngine::Producer producer = engine.MakeProducer();
+      for (const Term& t : terms) {
+        producer.Add(StructuredItem(std::vector<Term>{t}));
+      }
+    }
     StructuredF0 merged = engine.MergedSketch();
     EXPECT_EQ(SketchCodec::Encode(merged), SketchCodec::Encode(single));
     EXPECT_TRUE(merged.hashes_canonical());
@@ -370,12 +375,14 @@ TEST(StructuredSketchMergeTest, EngineAffineItemsEqualDirectAddAffine) {
     Rng rng(55);
     StructuredF0 single(params);
     ShardedStructuredEngine engine(params, 3);
+    ShardedStructuredEngine::Producer producer = engine.MakeProducer();
     for (int i = 0; i < 6; ++i) {
       const Gf2Matrix a = Gf2Matrix::Random(3, params.n, rng);
       const BitVec b = BitVec::Random(3, rng);
       single.AddAffine(a, b);
-      engine.AddAffine(a, b);
+      producer.Add(StructuredItem(AffineSpaceItem{a, b}));
     }
+    producer.Flush();
     EXPECT_EQ(SketchCodec::Encode(engine.MergedSketch()),
               SketchCodec::Encode(single));
   }

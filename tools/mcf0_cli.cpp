@@ -834,6 +834,30 @@ std::vector<StructuredItem> ParseAffineFileOrDie(const std::string& text,
   return items;
 }
 
+/// Reads a `--input dnf | range | affine` file as §5 stream items — one
+/// per DNF term, range or affine space — and its universe width n.
+std::vector<StructuredItem> ReadStructuredItemsOrDie(const std::string& kind,
+                                                     const std::string& path,
+                                                     int* n_out) {
+  const std::string text = ReadInput(path);
+  if (kind == "affine") return ParseAffineFileOrDie(text, n_out);
+  std::vector<StructuredItem> items;
+  if (kind == "dnf") {
+    const Dnf dnf = ParseDnfOrDie(text);
+    *n_out = dnf.num_vars();
+    for (const Term& term : dnf.terms()) {
+      items.emplace_back(std::vector<Term>{term});
+    }
+    return items;
+  }
+  int dims = 0;
+  int bits = 0;
+  std::vector<MultiDimRange> ranges = ParseRangeFileOrDie(text, &dims, &bits);
+  *n_out = dims * bits;
+  for (MultiDimRange& range : ranges) items.emplace_back(std::move(range));
+  return items;
+}
+
 /// Spreads `items` across `producers` threads, each feeding the engine
 /// through its own Producer handle (round-robin split — the merged
 /// sketch is partition-independent, so any split works). Items are
@@ -864,54 +888,18 @@ void IngestAcrossProducers(Engine& engine, std::vector<Item>& items,
 int RunSketchBuildStructured(const CommonOptions& opts,
                              const std::string& input) {
   WallTimer timer;
-  // Inputs stay in their native parsed form; only the parallel path pays
-  // for a StructuredItem buffer (it must split items across producers).
   int n = 0;
-  std::optional<Dnf> dnf;
-  std::vector<MultiDimRange> ranges;
-  std::vector<StructuredItem> affine_items;
-  uint64_t num_items = 0;
-  if (opts.input_kind == "dnf") {
-    dnf.emplace(ParseDnfOrDie(ReadInput(input)));
-    n = dnf->num_vars();
-    num_items = dnf->num_terms();
-  } else if (opts.input_kind == "range") {
-    int dims = 0;
-    int bits = 0;
-    ranges = ParseRangeFileOrDie(ReadInput(input), &dims, &bits);
-    n = dims * bits;
-    num_items = ranges.size();
-  } else {
-    affine_items = ParseAffineFileOrDie(ReadInput(input), &n);
-    num_items = affine_items.size();
-  }
+  std::vector<StructuredItem> items =
+      ReadStructuredItemsOrDie(opts.input_kind, input, &n);
+  const uint64_t num_items = items.size();
   const StructuredF0Params params =
       StructuredParamsFromOptions(opts, n, "sketch build");
 
   std::optional<StructuredF0> sketch;
   if (opts.shards == 1 && opts.producers == 1) {
     sketch.emplace(params);
-    if (dnf.has_value()) {
-      for (const Term& term : dnf->terms()) sketch->AddTerms({term});
-    } else if (opts.input_kind == "range") {
-      for (const MultiDimRange& range : ranges) sketch->AddRange(range);
-    } else {
-      for (const StructuredItem& item : affine_items) {
-        AbsorbItem(*sketch, item);
-      }
-    }
+    for (const StructuredItem& item : items) AbsorbItem(*sketch, item);
   } else {
-    std::vector<StructuredItem> items;
-    items.reserve(num_items);
-    if (dnf.has_value()) {
-      for (const Term& term : dnf->terms()) {
-        items.emplace_back(std::vector<Term>{term});
-      }
-    } else if (opts.input_kind == "range") {
-      for (MultiDimRange& range : ranges) items.emplace_back(std::move(range));
-    } else {
-      items = std::move(affine_items);
-    }
     ShardedStructuredEngine engine(params, opts.shards);
     IngestAcrossProducers(engine, items, opts.producers);
     sketch.emplace(engine.MergedSketch());
@@ -971,8 +959,13 @@ int RunSketchBuild(const CommonOptions& opts) {
     blob = SketchCodec::Encode(merged);
   } else if (opts.shards > 1) {
     ShardedF0Engine engine(params, opts.shards);
-    // Add() batches internally; MergedSketch() flushes the tail.
-    elements = StreamElements(input, [&](uint64_t x) { engine.Add(x); });
+    {
+      // Add() batches internally; the handle's destructor dispatches the
+      // tail, and MergedSketch() waits for it.
+      ShardedF0Engine::Producer producer = engine.MakeProducer();
+      elements =
+          StreamElements(input, [&](uint64_t x) { producer.Add(x); });
+    }
     const F0Estimator merged = engine.MergedSketch();
     estimate = merged.Estimate();
     space_bits = merged.SpaceBits();
@@ -1147,12 +1140,14 @@ int RunServe(const CommonOptions& opts) {
     const StructuredF0Params params =
         StructuredParamsFromOptions(opts, opts.n, "serve");
     structured_engine.emplace(params, opts.shards);
-    backend = std::make_unique<net::StructuredEngineBackend>(
+    backend = std::make_unique<
+        net::ShardedEngineBackend<ShardedStructuredEngine>>(
         &*structured_engine);
   } else {
     const F0Params params = F0ParamsFromOptions(opts, "serve");
     raw_engine.emplace(params, opts.shards);
-    backend = std::make_unique<net::RawEngineBackend>(&*raw_engine);
+    backend = std::make_unique<net::ShardedEngineBackend<ShardedF0Engine>>(
+        &*raw_engine);
   }
 
   net::ServerOptions server_options;
@@ -1274,33 +1269,12 @@ int RunPush(const CommonOptions& opts) {
     // advertised parameters here just fails faster and clearer.
     const int server_n =
         std::get<StructuredF0Params>(client.welcome().params).n;
-    std::vector<StructuredItem> parsed;
-    if (opts.input_kind == "dnf") {
-      const Dnf dnf = ParseDnfOrDie(ReadInput(input));
-      if (dnf.num_vars() != server_n) {
-        Fail("push: input has n=" + std::to_string(dnf.num_vars()) +
-             " but the server streams n=" + std::to_string(server_n));
-      }
-      for (const Term& term : dnf.terms()) {
-        parsed.emplace_back(std::vector<Term>{term});
-      }
-    } else if (opts.input_kind == "range") {
-      int dims = 0;
-      int bits = 0;
-      std::vector<MultiDimRange> ranges =
-          ParseRangeFileOrDie(ReadInput(input), &dims, &bits);
-      if (dims * bits != server_n) {
-        Fail("push: input has n=" + std::to_string(dims * bits) +
-             " but the server streams n=" + std::to_string(server_n));
-      }
-      for (MultiDimRange& range : ranges) parsed.emplace_back(std::move(range));
-    } else {
-      int n = 0;
-      parsed = ParseAffineFileOrDie(ReadInput(input), &n);
-      if (n != server_n) {
-        Fail("push: input has n=" + std::to_string(n) +
-             " but the server streams n=" + std::to_string(server_n));
-      }
+    int n = 0;
+    std::vector<StructuredItem> parsed =
+        ReadStructuredItemsOrDie(opts.input_kind, input, &n);
+    if (n != server_n) {
+      Fail("push: input has n=" + std::to_string(n) +
+           " but the server streams n=" + std::to_string(server_n));
     }
     items = parsed.size();
     for (StructuredItem& item : parsed) {
