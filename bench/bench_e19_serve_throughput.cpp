@@ -6,7 +6,13 @@
 //      SketchServer over 127.0.0.1 TCP (credit window 8, the default);
 //      the table reports aggregate items/sec per client count;
 //   2. query latency: a dedicated session issues QueryEstimate against
-//      the live engine while the pushers run; p50/p99 microseconds.
+//      the live engine while the pushers run; the query count and p50/p99
+//      microseconds. A percentile is reported only when at least 10
+//      queries lie beyond it; otherwise the row shows the highest
+//      percentile that has them, or n/a.
+//
+// Client counts above nproc - 1 are skipped (each pusher wants a core
+// beside the server's poll thread); the first row always runs.
 //
 // Because the protocol acks only after items reach an engine producer
 // and the engine's merge is an exact union, the drained server's sketch
@@ -15,6 +21,7 @@
 // miniature version and writes the same BENCH_e19_serve.json summary.
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <span>
@@ -54,17 +61,55 @@ std::vector<uint64_t> MakeStream(size_t length, uint64_t support) {
   return xs;
 }
 
-double Percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const size_t index =
-      static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[index];
+/// Samples that must lie beyond a percentile before it is reported: with
+/// fewer, a "tail" is a handful of queries (one query reads as its own
+/// p50 and p99).
+constexpr size_t kMinSamplesBeyond = 10;
+
+/// A latency percentile as reported: `percentile` is the one shown, or -1
+/// for n/a.
+struct Latency {
+  int percentile = -1;
+  double us = 0.0;
+};
+
+/// The `requested` percentile of `sorted` when at least kMinSamplesBeyond
+/// samples lie beyond it, else the highest integer percentile below it
+/// that has them, else n/a.
+Latency ReportPercentile(const std::vector<double>& sorted, int requested) {
+  if (sorted.size() <= kMinSamplesBeyond) return {};
+  const size_t last = sorted.size() - 1;
+  for (int p = requested; p >= 0; --p) {
+    const size_t index = static_cast<size_t>(p) * last / 100;
+    if (last - index >= kMinSamplesBeyond) return {p, sorted[index]};
+  }
+  return {};
+}
+
+/// Table cell: "812.3us", "812.3us (p95)" after a fallback, or "n/a".
+std::string FormatLatency(const Latency& l, int requested) {
+  if (l.percentile < 0) return "n/a";
+  char buffer[48];
+  if (l.percentile == requested) {
+    std::snprintf(buffer, sizeof(buffer), "%.1fus", l.us);
+  } else {
+    std::snprintf(buffer, sizeof(buffer), "%.1fus (p%d)", l.us, l.percentile);
+  }
+  return buffer;
+}
+
+/// JSON value: {"percentile": p, "us": x}, or null for n/a.
+std::string LatencyJson(const Latency& l) {
+  if (l.percentile < 0) return "null";
+  return "{\"percentile\": " + std::to_string(l.percentile) +
+         ", \"us\": " + std::to_string(l.us) + "}";
 }
 
 struct Measured {
   double items_per_sec = 0.0;
-  double query_p50_us = 0.0;
-  double query_p99_us = 0.0;
+  size_t queries = 0;
+  Latency query_p50;
+  Latency query_p99;
 };
 
 /// One serve round: `clients` pushers split `stream` evenly; one extra
@@ -149,8 +194,9 @@ Measured ServeRound(const F0Params& params, const std::vector<uint64_t>& stream,
   Measured m;
   m.items_per_sec = static_cast<double>(stream.size()) / elapsed;
   std::sort(latencies_us.begin(), latencies_us.end());
-  m.query_p50_us = Percentile(latencies_us, 0.50);
-  m.query_p99_us = Percentile(latencies_us, 0.99);
+  m.queries = latencies_us.size();
+  m.query_p50 = ReportPercentile(latencies_us, 50);
+  m.query_p99 = ReportPercentile(latencies_us, 99);
   return m;
 }
 
@@ -171,16 +217,28 @@ int main(int argc, char** argv) {
   for (const uint64_t x : stream) single.Add(x);
   const std::string expected = SketchCodec::Encode(single);
 
-  const std::vector<int> client_counts =
-      smoke ? std::vector<int>{2} : std::vector<int>{1, 2, 4, 8};
+  const int max_clients =
+      static_cast<int>(std::thread::hardware_concurrency()) - 1;
+  std::vector<int> client_counts;
+  for (const int clients :
+       smoke ? std::vector<int>{2} : std::vector<int>{1, 2, 4, 8}) {
+    if (client_counts.empty() || clients <= max_clients) {
+      client_counts.push_back(clients);
+    } else {
+      std::printf("skipping %d clients: above nproc - 1 = %d\n", clients,
+                  max_clients);
+    }
+  }
 
-  std::printf("%8s  %14s  %12s  %12s\n", "clients", "items/sec", "query p50",
-              "query p99");
+  std::printf("%8s  %14s  %8s  %16s  %16s\n", "clients", "items/sec",
+              "queries", "query p50", "query p99");
   Measured last;
   for (const int clients : client_counts) {
     last = ServeRound(params, stream, clients, expected);
-    std::printf("%8d  %14.0f  %10.1fus  %10.1fus\n", clients,
-                last.items_per_sec, last.query_p50_us, last.query_p99_us);
+    std::printf("%8d  %14.0f  %8zu  %16s  %16s\n", clients,
+                last.items_per_sec, last.queries,
+                FormatLatency(last.query_p50, 50).c_str(),
+                FormatLatency(last.query_p99, 99).c_str());
   }
   std::printf("served sketch == single-pass sketch (byte-identical): yes\n");
 
@@ -222,8 +280,9 @@ int main(int argc, char** argv) {
        << "  \"items\": " << length << ",\n"
        << "  \"clients\": " << client_counts.back() << ",\n"
        << "  \"items_per_sec\": " << last.items_per_sec << ",\n"
-       << "  \"query_p50_us\": " << last.query_p50_us << ",\n"
-       << "  \"query_p99_us\": " << last.query_p99_us << ",\n"
+       << "  \"queries\": " << last.queries << ",\n"
+       << "  \"query_p50\": " << LatencyJson(last.query_p50) << ",\n"
+       << "  \"query_p99\": " << LatencyJson(last.query_p99) << ",\n"
        << "  \"metrics_on_items_per_sec\": " << metrics_on << ",\n"
        << "  \"metrics_off_items_per_sec\": " << metrics_off << ",\n"
        << "  \"metrics_overhead_pct\": " << overhead_pct << ",\n"

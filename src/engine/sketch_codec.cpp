@@ -9,38 +9,6 @@
 
 namespace mcf0 {
 
-std::string SketchCodec::Encode(const BucketingSketchRow& row) {
-  wire::ByteWriter w;
-  wire::EncodeBucketingPayload(w, row, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kBucketingRow, kFormatV2, w.Take());
-}
-
-std::string SketchCodec::Encode(const MinimumSketchRow& row) {
-  wire::ByteWriter w;
-  wire::EncodeMinimumPayload(w, row, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kMinimumRow, kFormatV2, w.Take());
-}
-
-std::string SketchCodec::Encode(const EstimationSketchRow& row) {
-  wire::ByteWriter w;
-  wire::EncodeEstimationPayload(w, row, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kEstimationRow, kFormatV2, w.Take());
-}
-
-std::string SketchCodec::Encode(const FlajoletMartinRow& row) {
-  wire::ByteWriter w;
-  wire::EncodeFmPayload(w, row, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kFlajoletMartinRow, kFormatV2,
-                         w.Take());
-}
-
-std::string SketchCodec::Encode(const StructuredBucketRow& row) {
-  wire::ByteWriter w;
-  wire::EncodeStructuredBucketPayload(w, row, /*embed_hash=*/true);
-  return wire::WrapFrame(SketchFrameKind::kStructuredBucketRow, kFormatV2,
-                         w.Take());
-}
-
 std::string SketchCodec::Encode(const StructuredF0& sketch) {
   // The same elision rule as raw estimators: hash state vanishes when it
   // is attested (or proven) to match the canonical sampler replay — and
@@ -126,98 +94,16 @@ Result<uint16_t> SketchCodec::PeekFormatVersion(std::string_view bytes) {
   return version;
 }
 
-Result<SketchFrameKind> SketchCodec::PeekFrameKind(std::string_view bytes) {
-  if (bytes.size() < 7 || bytes.substr(0, 4) != "MCF0") {
-    return Status::ParseError("bad magic: not an mcf0 sketch blob");
-  }
-  const uint8_t kind = static_cast<uint8_t>(bytes[6]);
-  if (kind > static_cast<uint8_t>(SketchFrameKind::kStructuredBucketRow)) {
-    return Status::ParseError("unknown sketch frame kind " +
-                              std::to_string(kind));
-  }
-  return static_cast<SketchFrameKind>(kind);
-}
-
-Result<BucketingSketchRow> SketchCodec::DecodeBucketingRow(
-    std::string_view bytes) {
-  uint16_t version = 0;
-  auto payload =
-      wire::UnwrapFrame(bytes, SketchFrameKind::kBucketingRow, &version);
-  if (!payload.ok()) return payload.status();
-  wire::ByteReader r(payload.value());
-  std::optional<BucketingSketchRow> row;
-  Status status = wire::DecodeBucketingPayload(r, version, nullptr, &row);
-  if (!status.ok()) return status;
-  if (!r.Done()) return Status::ParseError("trailing bytes in bucketing row");
-  return *std::move(row);
-}
-
-Result<MinimumSketchRow> SketchCodec::DecodeMinimumRow(std::string_view bytes) {
-  uint16_t version = 0;
-  auto payload =
-      wire::UnwrapFrame(bytes, SketchFrameKind::kMinimumRow, &version);
-  if (!payload.ok()) return payload.status();
-  wire::ByteReader r(payload.value());
-  std::optional<MinimumSketchRow> row;
-  Status status = wire::DecodeMinimumPayload(r, version, nullptr, &row);
-  if (!status.ok()) return status;
-  if (!r.Done()) return Status::ParseError("trailing bytes in minimum row");
-  return *std::move(row);
-}
-
-Result<StructuredBucketRow> SketchCodec::DecodeStructuredBucketRow(
-    std::string_view bytes) {
-  uint16_t version = 0;
-  auto payload =
-      wire::UnwrapFrame(bytes, SketchFrameKind::kStructuredBucketRow,
-                        &version);
-  if (!payload.ok()) return payload.status();
-  wire::ByteReader r(payload.value());
-  std::optional<StructuredBucketRow> row;
-  Status status =
-      wire::DecodeStructuredBucketPayload(r, version, nullptr, &row);
-  if (!status.ok()) return status;
-  if (!r.Done()) {
-    return Status::ParseError("trailing bytes in structured bucketing row");
-  }
-  return *std::move(row);
-}
-
-Result<EstimationSketchRow> SketchCodec::DecodeEstimationRow(
-    std::string_view bytes, const Gf2Field* field) {
-  uint16_t version = 0;
-  auto payload =
-      wire::UnwrapFrame(bytes, SketchFrameKind::kEstimationRow, &version);
-  if (!payload.ok()) return payload.status();
-  wire::ByteReader r(payload.value());
-  std::optional<EstimationSketchRow> row;
-  Status status =
-      wire::DecodeEstimationPayload(r, version, field, nullptr, &row);
-  if (!status.ok()) return status;
-  if (!r.Done()) return Status::ParseError("trailing bytes in estimation row");
-  return *std::move(row);
-}
-
-Result<FlajoletMartinRow> SketchCodec::DecodeFlajoletMartinRow(
-    std::string_view bytes) {
-  uint16_t version = 0;
-  auto payload =
-      wire::UnwrapFrame(bytes, SketchFrameKind::kFlajoletMartinRow, &version);
-  if (!payload.ok()) return payload.status();
-  wire::ByteReader r(payload.value());
-  std::optional<FlajoletMartinRow> row;
-  Status status = wire::DecodeFmPayload(r, version, nullptr, &row);
-  if (!status.ok()) return status;
-  if (!r.Done()) return Status::ParseError("trailing bytes in FM row");
-  return *std::move(row);
-}
-
 Result<F0Estimator> SketchCodec::DecodeF0Estimator(std::string_view bytes) {
   // One decode path for both versions and both consumption styles: the
   // whole-estimator decoder is the streaming cursor, drained.
   auto opened = SketchReader::Open(bytes);
   if (!opened.ok()) return opened.status();
   SketchReader reader = std::move(opened).value();
+  if (reader.structured()) {
+    return Status::InvalidArgument(
+        "sketch frame holds a structured sketch, not a raw F0 estimator");
+  }
 
   F0Estimator::Parts parts = F0Estimator::EmptyParts();
   while (!reader.AtEnd()) {
@@ -255,7 +141,7 @@ Result<StructuredF0> SketchCodec::DecodeStructuredF0(std::string_view bytes) {
   auto opened = SketchReader::Open(bytes);
   if (!opened.ok()) return opened.status();
   SketchReader reader = std::move(opened).value();
-  if (reader.frame_kind() != SketchFrameKind::kStructuredF0) {
+  if (!reader.structured()) {
     return Status::InvalidArgument(
         "sketch frame holds a raw F0 estimator, not a structured sketch");
   }
@@ -285,15 +171,11 @@ Result<StructuredF0> SketchCodec::DecodeStructuredF0(std::string_view bytes) {
 // ---- SketchVariant --------------------------------------------------------
 
 Result<SketchVariant> SketchVariant::Decode(std::string_view bytes) {
-  auto kind = SketchCodec::PeekFrameKind(bytes);
-  if (!kind.ok()) return kind.status();
-  if (kind.value() == SketchFrameKind::kStructuredF0) {
+  if (wire::ClaimedSketchKind(bytes) == SketchFrameKind::kStructuredF0) {
     auto sketch = SketchCodec::DecodeStructuredF0(bytes);
     if (!sketch.ok()) return sketch.status();
     return SketchVariant(std::move(sketch).value());
   }
-  // Anything else routes through the raw decoder, whose frame check
-  // produces the canonical kind-mismatch error for row frames.
   auto est = SketchCodec::DecodeF0Estimator(bytes);
   if (!est.ok()) return est.status();
   return SketchVariant(std::move(est).value());

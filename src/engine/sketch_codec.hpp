@@ -42,20 +42,17 @@
 
 namespace mcf0 {
 
-/// Frame kind byte: which object a serialized blob holds. Kinds 5 and 6
-/// (structured sketches, §5 streams) exist only at format v2 — v1
-/// predates them.
+/// Frame kind byte: which whole sketch a serialized blob holds. Kind 5
+/// (structured sketches, §5 streams) exists only at format v2 — v1
+/// predates it. Kinds 1-4 and 6 once held single sketch rows; they are
+/// retired, never reassigned, and UnwrapFrame rejects them like any
+/// other kind the caller did not ask for.
 enum class SketchFrameKind : uint8_t {
   kF0Estimator = 0,
-  kBucketingRow = 1,
-  kMinimumRow = 2,
-  kEstimationRow = 3,
-  kFlajoletMartinRow = 4,
   kStructuredF0 = 5,
-  kStructuredBucketRow = 6,
 };
 
-/// Stateless encode/decode for every sketch type. Encodings are
+/// Stateless encode/decode for both whole-sketch types. Encodings are
 /// canonical: two sketches with equal state produce byte-identical blobs
 /// (unordered containers are sorted on the way out), so blob equality is
 /// state equality — the merge-algebra tests rely on this.
@@ -71,12 +68,7 @@ class SketchCodec {
   static constexpr uint16_t kDefaultFormatVersion = kFormatV2;
 
   static std::string Encode(const F0Estimator& est);
-  static std::string Encode(const BucketingSketchRow& row);
-  static std::string Encode(const MinimumSketchRow& row);
-  static std::string Encode(const EstimationSketchRow& row);
-  static std::string Encode(const FlajoletMartinRow& row);
   static std::string Encode(const StructuredF0& sketch);
-  static std::string Encode(const StructuredBucketRow& row);
 
   static Result<F0Estimator> DecodeF0Estimator(std::string_view bytes);
   static Result<StructuredF0> DecodeStructuredF0(std::string_view bytes);
@@ -84,18 +76,6 @@ class SketchCodec {
   /// The wire format version a frame claims, from the first six header
   /// bytes (magic checked; payload untouched — O(1), unlike a decode).
   static Result<uint16_t> PeekFormatVersion(std::string_view bytes);
-  /// The frame kind a blob claims (byte 6; magic checked, O(1)).
-  static Result<SketchFrameKind> PeekFrameKind(std::string_view bytes);
-  static Result<BucketingSketchRow> DecodeBucketingRow(std::string_view bytes);
-  static Result<MinimumSketchRow> DecodeMinimumRow(std::string_view bytes);
-  static Result<StructuredBucketRow> DecodeStructuredBucketRow(
-      std::string_view bytes);
-  /// `field` supplies GF(2^w) arithmetic for the decoded hashes and must
-  /// outlive the row; it may be null only for a cells-only row.
-  static Result<EstimationSketchRow> DecodeEstimationRow(
-      std::string_view bytes, const Gf2Field* field);
-  static Result<FlajoletMartinRow> DecodeFlajoletMartinRow(
-      std::string_view bytes);
 };
 
 /// One owning handle over either sketch kind — the single surface the
@@ -109,7 +89,7 @@ class SketchVariant {
   explicit SketchVariant(StructuredF0 sketch) : sketch_(std::move(sketch)) {}
 
   /// Decodes a whole-sketch frame of either kind (raw F0Estimator or
-  /// StructuredF0); row frames are rejected with their usual kind error.
+  /// StructuredF0); any other kind byte is rejected.
   static Result<SketchVariant> Decode(std::string_view bytes);
 
   bool structured() const {

@@ -284,42 +284,29 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
       !structured &&
       readers.front().params().algorithm == F0Algorithm::kEstimation;
 
-  wire::FrameSink sink(&out, structured ? SketchFrameKind::kStructuredF0
-                                        : SketchFrameKind::kF0Estimator);
   const int rows = structured
                        ? StructuredF0Rows(readers.front().structured_params())
                        : F0Rows(readers.front().params());
-  {
-    wire::ByteWriter prelude;
-    if (structured) {
-      wire::EncodeStructuredParams(prelude,
-                                   readers.front().structured_params());
-      prelude.U8(elide ? 1 : 0);
-      prelude.Varint(static_cast<uint64_t>(rows));
-    } else {
-      const F0Params& params = readers.front().params();
-      wire::EncodeParams(prelude, params);
-      prelude.U8(elide ? 1 : 0);
-      if (estimation) {
-        const Gf2Field* field = readers.front().field();
-        prelude.Varint(static_cast<uint64_t>(field->degree()));
-        prelude.U64(field->modulus_low());
-      }
-      prelude.Varint(static_cast<uint64_t>(rows));
-    }
-    sink.Append(prelude.Take());
+  wire::ByteWriter payload;
+  if (structured) {
+    wire::EncodeStructuredParams(payload, readers.front().structured_params());
+  } else {
+    wire::EncodeParams(payload, readers.front().params());
   }
+  payload.U8(elide ? 1 : 0);
+  if (estimation) {
+    const Gf2Field* field = readers.front().field();
+    payload.Varint(static_cast<uint64_t>(field->degree()));
+    payload.U64(field->modulus_low());
+  }
+  payload.Varint(static_cast<uint64_t>(rows));
 
   SketchStreamMergeStats stats;
   int live_units = 0;
   const int num_units = readers.front().num_units();
   for (int k = 0; k < num_units; ++k) {
-    if (estimation && k == rows) {
-      // The FM block's own row count sits between the two row sequences.
-      wire::ByteWriter count;
-      count.Varint(static_cast<uint64_t>(rows));
-      sink.Append(count.Take());
-    }
+    // The FM block's own row count sits between the two row sequences.
+    if (estimation && k == rows) payload.Varint(static_cast<uint64_t>(rows));
     auto first = readers.front().Next();
     if (!first.ok()) return attributed(0, first.status());
     ResidentUnit acc(std::move(first).value(), &live_units,
@@ -334,15 +321,18 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
       Status status = MergeUnits(acc.unit(), from.unit());
       if (!status.ok()) return attributed(j, status);
     }
-    wire::ByteWriter w;
-    EncodeUnit(w, acc.unit(), /*embed_hash=*/!elide);
-    sink.Append(w.Take());
+    EncodeUnit(payload, acc.unit(), /*embed_hash=*/!elide);
     ++stats.units;
   }
-  Status status = sink.Finish();
-  if (!status.ok()) return status;
-  stats.payload_bytes = sink.payload_bytes();
-  stats.frame_bytes = sink.payload_bytes() + wire::kHeaderBytes;
+  const std::string frame = wire::WrapFrame(
+      structured ? SketchFrameKind::kStructuredF0
+                 : SketchFrameKind::kF0Estimator,
+      SketchCodec::kFormatV2, payload.Take());
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  // The destination stream failing is an environment problem (disk full,
+  // pipe closed), not a codec bug: kUnavailable, so the server can map it
+  // to the matching protocol error frame.
+  if (!out) return Status::Unavailable("sketch merge: stream write failed");
   return stats;
 }
 

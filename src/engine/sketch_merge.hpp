@@ -66,9 +66,7 @@ Status Merge(SketchVariant& into, const SketchVariant& from);
 
 /// What MergeSketchStreams did, for callers that report on it.
 struct SketchStreamMergeStats {
-  uint64_t payload_bytes = 0;  ///< frame payload written (header excluded)
-  uint64_t frame_bytes = 0;    ///< total bytes written, header included
-  int units = 0;               ///< rows folded (per input)
+  int units = 0;  ///< rows folded (per input)
   /// Peak number of decoded rows simultaneously alive during the merge —
   /// the accumulator plus at most one in-flight row, *independent of the
   /// input count*. The reducer-memory test pins this at <= 2.
@@ -87,18 +85,18 @@ struct LabeledSource {
 /// (raw estimators or structured sketches — all inputs one kind) into one
 /// merged frame without ever materializing a whole sketch. Inputs are
 /// co-iterated row by row through SketchReader cursors, each row union is
-/// encoded and appended to `out` immediately (via a FrameSink that
-/// patches the header afterwards — `out` must be seekable), and the
-/// decoded state alive at any instant is one accumulator row plus the row
-/// being folded in. All inputs must share parameters; v1 and v2 raw
+/// encoded into the output payload at once, and the decoded state alive
+/// at any instant is one accumulator row plus the row being folded in.
+/// The merged frame is written to `out` once, at the end, and only on
+/// success: a failed merge writes nothing, and a failed write of `out`
+/// is kUnavailable. All inputs must share parameters; v1 and v2 raw
 /// inputs mix freely (structured frames are v2-only). The output is
 /// always a v2 frame; it elides hash state only when *every* input frame
 /// attested canonical hashes (i.e. all are seed-elided v2), otherwise
 /// hashes are embedded. Every error is attributed to the offending input
 /// by name in a single pass — corrupt shards, parameter mismatches, and
 /// row-level incompatibilities alike — so callers need no pre-open
-/// validation sweep. On error the partial output should be discarded by
-/// the caller.
+/// validation sweep.
 Result<SketchStreamMergeStats> MergeSketchStreams(
     const std::vector<LabeledSource>& inputs, std::ostream& out);
 

@@ -15,16 +15,9 @@ SketchReader& SketchReader::operator=(SketchReader&&) noexcept = default;
 SketchReader::~SketchReader() = default;
 
 Result<SketchReader> SketchReader::Open(std::string_view blob) {
-  // Dispatch on the frame-kind byte: the cursor walks raw estimator
-  // frames and (v2) structured frames through one entry point. A
-  // non-whole-sketch kind goes down the raw path, whose UnwrapFrame
-  // produces the canonical kind-mismatch error.
-  const SketchFrameKind want =
-      blob.size() >= 7 &&
-              static_cast<uint8_t>(blob[6]) ==
-                  static_cast<uint8_t>(SketchFrameKind::kStructuredF0)
-          ? SketchFrameKind::kStructuredF0
-          : SketchFrameKind::kF0Estimator;
+  // The cursor walks raw estimator frames and (v2) structured frames
+  // through one entry point.
+  const SketchFrameKind want = wire::ClaimedSketchKind(blob);
   uint16_t version = 0;
   auto payload = wire::UnwrapFrame(blob, want, &version);
   if (!payload.ok()) return payload.status();
@@ -249,12 +242,11 @@ Result<SketchReader::Unit> SketchReader::Next() {
         }
         std::optional<EstimationSketchRow> row;
         status = wire::DecodeEstimationPayload(
-            r, version_, field_.get(), replayed ? &*replayed : nullptr, &row);
+            r, version_, *field_, replayed ? &*replayed : nullptr, &row);
         if (!status.ok()) return status;
         // What the sampling constructor would have built: thresh cells,
         // each hash drawn with s coefficients.
-        bool consistent = !row->hashes().empty() &&
-                          row->cells().size() == expected_thresh_;
+        bool consistent = row->cells().size() == expected_thresh_;
         for (const PolynomialHash& h : row->hashes()) {
           consistent = consistent && h.s() == expected_s_;
         }

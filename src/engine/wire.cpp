@@ -138,9 +138,12 @@ Status DecodeSquareHash(ByteReader& r, uint16_t version, const char* what,
 }  // namespace
 
 uint64_t Fnv1a64(std::string_view bytes) {
-  Fnv1a64State state;
-  state.Update(bytes);
-  return state.hash;
+  uint64_t hash = 14695981039346656037ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
 }
 
 // ---- ByteWriter -----------------------------------------------------------
@@ -350,45 +353,12 @@ Result<std::string_view> UnwrapFrame(std::string_view bytes,
   return payload;
 }
 
-FrameSink::FrameSink(std::ostream* out, SketchFrameKind kind)
-    : out_(out), header_pos_(out->tellp()) {
-  ByteWriter header;
-  for (const char c : kMagic) header.U8(static_cast<uint8_t>(c));
-  header.U16(SketchCodec::kFormatV2);
-  header.U8(static_cast<uint8_t>(kind));
-  header.U8(0);  // reserved
-  header.U64(0);  // payload length, patched by Finish()
-  header.U64(0);  // checksum, patched by Finish()
-  const std::string bytes = header.Take();
-  out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-void FrameSink::Append(std::string_view payload_chunk) {
-  MCF0_CHECK(!finished_);
-  fnv_.Update(payload_chunk);
-  bytes_ += payload_chunk.size();
-  out_->write(payload_chunk.data(),
-              static_cast<std::streamsize>(payload_chunk.size()));
-}
-
-Status FrameSink::Finish() {
-  MCF0_CHECK(!finished_);
-  finished_ = true;
-  const std::streampos end = out_->tellp();
-  out_->seekp(header_pos_ + std::streamoff(8));
-  ByteWriter tail;
-  tail.U64(bytes_);
-  tail.U64(fnv_.hash);
-  const std::string bytes = tail.Take();
-  out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out_->seekp(end);
-  // The destination stream failing is an environment problem (disk full,
-  // pipe closed), not a codec bug: kUnavailable, so the server can map it
-  // to the matching protocol error frame.
-  if (!*out_) {
-    return Status::Unavailable("sketch frame sink: stream write failed");
-  }
-  return Status::Ok();
+SketchFrameKind ClaimedSketchKind(std::string_view blob) {
+  return blob.size() > 6 &&
+                 static_cast<uint8_t>(blob[6]) ==
+                     static_cast<uint8_t>(SketchFrameKind::kStructuredF0)
+             ? SketchFrameKind::kStructuredF0
+             : SketchFrameKind::kF0Estimator;
 }
 
 // ---- AffineHash -----------------------------------------------------------
@@ -775,10 +745,9 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
 namespace {
 
 /// Bits per packed v2 cell counter: cells hold trailing-zero counts in
-/// [0, D] where D is the hash width (the field degree, or 64 for a
-/// cells-only row), so ceil(log2(D + 1)) bits suffice — 6 for the default
-/// n = 32 sketches, 7 at most. Both sides derive D the same way, from the
-/// (decoded or to-be-encoded) hash list, so the width is never stored.
+/// [0, D] where D is the hash width (the field degree), so
+/// ceil(log2(D + 1)) bits suffice — 6 for the default n = 32 sketches, 7
+/// at most. Both sides know the field, so the width is never stored.
 int CellBits(int max_cell) {
   return std::bit_width(static_cast<unsigned>(max_cell));
 }
@@ -832,108 +801,98 @@ Status UnpackCells(ByteReader& r, uint64_t count, int cell_bits, int max_cell,
 
 void EncodeEstimationPayload(ByteWriter& w, const EstimationSketchRow& row,
                              bool embed_hash) {
+  // Estimator rows always carry hashes; cells-only rows (§3.4/§4
+  // counting) never travel.
+  MCF0_CHECK(!row.hashes().empty());
+  const int degree = row.hashes().front().field_degree();
   if (embed_hash) {
-    w.U8(row.hashes().empty() ? 0 : 1);
-    if (!row.hashes().empty()) {
-      // Coefficients are field elements of w bits; ship exactly
-      // ceil(w/8) bytes each instead of v1's fixed 8.
-      const int degree = row.hashes().front().field_degree();
-      const int coeff_bytes = (degree + 7) / 8;
-      w.Varint(row.hashes().size());
-      for (const PolynomialHash& h : row.hashes()) {
-        w.Varint(static_cast<uint64_t>(h.s()));
-        for (const uint64_t c : h.coeffs()) w.UintN(c, coeff_bytes);
-      }
+    w.U8(1);
+    // Coefficients are field elements of w bits; ship exactly ceil(w/8)
+    // bytes each instead of v1's fixed 8.
+    const int coeff_bytes = (degree + 7) / 8;
+    w.Varint(row.hashes().size());
+    for (const PolynomialHash& h : row.hashes()) {
+      w.Varint(static_cast<uint64_t>(h.s()));
+      for (const uint64_t c : h.coeffs()) w.UintN(c, coeff_bytes);
     }
   }
   w.Varint(row.cells().size());
-  const int max_cell =
-      row.hashes().empty() ? 64 : row.hashes().front().field_degree();
-  PackCells(w, row.cells(), CellBits(max_cell));
+  PackCells(w, row.cells(), CellBits(degree));
 }
 
 Status DecodeEstimationPayload(ByteReader& r, uint16_t version,
-                               const Gf2Field* field,
+                               const Gf2Field& field,
                                std::vector<PolynomialHash>* elided,
                                std::optional<EstimationSketchRow>* out) {
   const bool v1 = version == SketchCodec::kFormatV1;
+  const int degree = field.degree();
   std::vector<PolynomialHash> hashes;
   if (elided != nullptr) {
-    MCF0_CHECK(!v1 && field != nullptr);
+    MCF0_CHECK(!v1);
     hashes = std::move(*elided);
   } else {
     uint8_t has_hashes = 0;
     if (!r.U8(&has_hashes)) return Truncated("estimation row");
-    if (has_hashes > 1) {
+    if (has_hashes != 1) {
       return Status::ParseError("estimation row has a bad hash marker");
     }
-    if (has_hashes == 1) {
-      if (field == nullptr) {
-        return Status::InvalidArgument(
-            "estimation row carries hashes but no field was supplied");
-      }
-      const uint64_t mask = field->degree() == 64
-                                ? ~0ull
-                                : ((1ull << field->degree()) - 1);
-      const int coeff_bytes = (field->degree() + 7) / 8;
-      uint64_t num_hashes = 0;
-      if (!r.Count(version, &num_hashes)) return Truncated("estimation row");
-      if (num_hashes > r.Remaining() / (v1 ? 4 : 1)) {
+    const uint64_t mask = degree == 64 ? ~0ull : ((1ull << degree) - 1);
+    const int coeff_bytes = (degree + 7) / 8;
+    uint64_t num_hashes = 0;
+    if (!r.Count(version, &num_hashes)) return Truncated("estimation row");
+    if (num_hashes > r.Remaining() / (v1 ? 4 : 1)) {
+      return Truncated("estimation hashes");
+    }
+    for (uint64_t i = 0; i < num_hashes; ++i) {
+      uint64_t s = 0;
+      if (!r.Count(version, &s)) return Truncated("estimation hashes");
+      if (s < 1) return Status::ParseError("estimation hash needs s >= 1");
+      if (s > r.Remaining() / (v1 ? 8 : 1)) {
         return Truncated("estimation hashes");
       }
-      for (uint64_t i = 0; i < num_hashes; ++i) {
-        uint64_t s = 0;
-        if (!r.Count(version, &s)) return Truncated("estimation hashes");
-        if (s < 1) return Status::ParseError("estimation hash needs s >= 1");
-        if (s > r.Remaining() / (v1 ? 8 : 1)) {
+      std::vector<uint64_t> coeffs(s);
+      for (auto& c : coeffs) {
+        if (v1 ? !r.U64(&c) : !r.UintN(&c, coeff_bytes)) {
           return Truncated("estimation hashes");
         }
-        std::vector<uint64_t> coeffs(s);
-        for (auto& c : coeffs) {
-          if (v1 ? !r.U64(&c) : !r.UintN(&c, coeff_bytes)) {
-            return Truncated("estimation hashes");
-          }
-          if ((c & ~mask) != 0) {
-            return Status::ParseError("estimation coefficient outside GF(2^w)");
-          }
+        if ((c & ~mask) != 0) {
+          return Status::ParseError("estimation coefficient outside GF(2^w)");
         }
-        hashes.emplace_back(field, std::move(coeffs));
       }
+      hashes.emplace_back(&field, std::move(coeffs));
     }
   }
   uint64_t num_cells = 0;
   if (!r.Count(version, &num_cells)) return Truncated("estimation cells");
   if (num_cells < 1) return Status::ParseError("estimation row has no cells");
-  if (!hashes.empty() && hashes.size() != num_cells) {
+  if (hashes.size() != num_cells) {
     return Status::ParseError("estimation hash/cell count mismatch");
   }
-  const int max_cell = field != nullptr ? field->degree() : 64;
   std::vector<int> cells;
   if (v1) {
     if (num_cells > r.Remaining()) return Truncated("estimation cells");
     for (uint64_t i = 0; i < num_cells; ++i) {
       uint8_t v = 0;
       if (!r.U8(&v)) return Truncated("estimation cells");
-      if (v > max_cell) {
+      if (v > degree) {
         return Status::ParseError("estimation cell exceeds the hash width");
       }
       cells.push_back(v);
     }
   } else {
-    // v2 packs counters at CellBits(D) bits each, D derived from the hash
-    // list exactly as the encoder derives it. Bound the claimed count
-    // before allocating: every cell costs at least one bit.
-    const int cell_bits = CellBits(hashes.empty() ? 64 : field->degree());
+    // v2 packs counters at CellBits(D) bits each, exactly as the encoder
+    // does. Bound the claimed count before allocating: every cell costs
+    // at least one bit.
+    const int cell_bits = CellBits(degree);
     if (num_cells > 8 * r.Remaining()) return Truncated("estimation cells");
     if ((num_cells * static_cast<uint64_t>(cell_bits) + 7) / 8 >
         r.Remaining()) {
       return Truncated("estimation cells");
     }
-    Status status = UnpackCells(r, num_cells, cell_bits, max_cell, &cells);
+    Status status = UnpackCells(r, num_cells, cell_bits, degree, &cells);
     if (!status.ok()) return status;
   }
-  out->emplace(hashes.empty() ? nullptr : field, std::move(hashes),
-               std::move(cells));
+  out->emplace(&field, std::move(hashes), std::move(cells));
   return Status::Ok();
 }
 

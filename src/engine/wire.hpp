@@ -3,7 +3,7 @@
 ///
 /// This is the engine's *internal* serialization toolkit: byte-exact
 /// little-endian primitives (ByteWriter / ByteReader), the framed header
-/// (WrapFrame / UnwrapFrame / FrameSink), and the per-row payload codecs
+/// (WrapFrame / UnwrapFrame), and the per-row payload codecs
 /// (docs/wire_format.md). Three consumers build on it and nothing else
 /// should:
 ///
@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,17 +55,6 @@ inline constexpr uint64_t kMaxElidedStructuredUniverseBits = 4096;
 
 /// FNV-1a-64 over `bytes` — the frame payload checksum.
 uint64_t Fnv1a64(std::string_view bytes);
-
-/// Running FNV-1a-64 state for streaming writers (FrameSink).
-struct Fnv1a64State {
-  uint64_t hash = 14695981039346656037ull;
-  void Update(std::string_view bytes) {
-    for (const char c : bytes) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-  }
-};
 
 // ---- primitive little-endian encoding -------------------------------------
 
@@ -190,28 +178,11 @@ Status CheckFramePayload(const FrameHeader& header, std::string_view payload);
 Result<std::string_view> UnwrapFrame(std::string_view bytes,
                                      SketchFrameKind want, uint16_t* version);
 
-/// Incremental frame writer for bounded-memory producers: writes a
-/// placeholder v2 header up front, streams payload chunks while
-/// accumulating length + FNV-1a-64, then patches the header in place on
-/// Finish(). The destination stream must be seekable (a file or
-/// stringstream).
-class FrameSink {
- public:
-  FrameSink(std::ostream* out, SketchFrameKind kind);
-
-  void Append(std::string_view payload_chunk);
-  /// Seeks back and rewrites the header's length + checksum fields.
-  Status Finish();
-
-  uint64_t payload_bytes() const { return bytes_; }
-
- private:
-  std::ostream* out_;
-  std::streampos header_pos_;
-  Fnv1a64State fnv_;
-  uint64_t bytes_ = 0;
-  bool finished_ = false;
-};
+/// The whole-sketch kind `blob` claims: kStructuredF0 when its kind byte
+/// says so, kF0Estimator for anything else, so a short, garbled or
+/// retired-kind blob gets UnwrapFrame's canonical error from the raw
+/// decoder. O(1); nothing is validated here.
+SketchFrameKind ClaimedSketchKind(std::string_view blob);
 
 // ---- payload codecs -------------------------------------------------------
 //
@@ -248,10 +219,12 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
 
 void EncodeEstimationPayload(ByteWriter& w, const EstimationSketchRow& row,
                              bool embed_hash);
-/// `elided`, when non-null, supplies the replayed hashes and is moved
-/// from (the caller's replay row is a temporary anyway).
+/// `field` supplies GF(2^w) arithmetic for the decoded hashes and must
+/// outlive the row. `elided`, when non-null, supplies the replayed hashes
+/// and is moved from (the caller's replay row is a temporary anyway).
+/// Rows without hashes are rejected: estimator rows always carry them.
 Status DecodeEstimationPayload(ByteReader& r, uint16_t version,
-                               const Gf2Field* field,
+                               const Gf2Field& field,
                                std::vector<PolynomialHash>* elided,
                                std::optional<EstimationSketchRow>* out);
 

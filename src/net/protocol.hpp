@@ -53,8 +53,9 @@ inline constexpr uint64_t kMaxFramePayload = 16ull << 20;
 /// Upper bound a server may set for items per batch frame.
 inline constexpr uint64_t kMaxBatchItemsLimit = 1ull << 20;
 
-/// Frame kind bytes. 0x10+ keeps the namespace disjoint from
-/// SketchFrameKind (0-6). Values are frozen on the wire — append only.
+/// Frame kind bytes. 0x10+ keeps the namespace disjoint from the sketch
+/// frame kinds 0-6 (SketchFrameKind's 0 and 5, plus the retired row kinds
+/// that stay reserved). Values are frozen on the wire — append only.
 enum class FrameType : uint8_t {
   kHello = 0x10,          ///< client -> server: open a session
   kWelcome = 0x11,        ///< server -> client: params + initial credits

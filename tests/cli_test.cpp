@@ -423,6 +423,37 @@ TEST(CliTest, SketchUsageAndDecodeErrors) {
             1);
 }
 
+TEST(CliTest, FailedMergeKeepsExistingOutput) {
+  // A merge writes --out only once it has succeeded, so a failed re-run
+  // leaves the last good union on disk.
+  const std::string dir = testing::TempDir();
+  const std::string stream = WriteFixture("keep.txt", "1 2 3 4 5\n");
+  const std::string a = dir + "/keep_a.mcf0";
+  const std::string b = dir + "/keep_b.mcf0";
+  const std::string other = dir + "/keep_other.mcf0";
+  ASSERT_EQ(RunCli("sketch build --out " + a + " " + stream).exit_code, 0);
+  ASSERT_EQ(RunCli("sketch build --out " + b + " " + stream).exit_code, 0);
+  ASSERT_EQ(
+      RunCli("sketch build --seed 99 --out " + other + " " + stream).exit_code,
+      0);
+  auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+
+  const std::string out = dir + "/keep_union.mcf0";
+  ASSERT_EQ(RunCli("sketch merge --out " + out + " " + a + " " + b).exit_code,
+            0);
+  const std::string good = read_bytes(out);
+  ASSERT_FALSE(good.empty());
+  EXPECT_EQ(RunCli("sketch merge --out " + out + " " + a + " " + other +
+                   " 2>/dev/null")
+                .exit_code,
+            1);
+  EXPECT_EQ(read_bytes(out), good);
+}
+
 TEST(CliTest, StructuredSketchMapReduceMatchesSinglePass) {
   // §5 streams get the full map-reduce treatment: build structured
   // sketches from DNF shards, merge, query — and the merged file is

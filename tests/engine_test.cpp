@@ -9,8 +9,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -57,6 +59,52 @@ F0Estimator Clone(const F0Estimator& est) {
   return std::move(decoded).value();
 }
 
+// Sketch files hold whole sketches only, so row-level cases run the
+// payload codecs directly: v2 bytes with the row's hash embedded.
+std::string RowBytes(const BucketingSketchRow& row) {
+  wire::ByteWriter w;
+  wire::EncodeBucketingPayload(w, row, /*embed_hash=*/true);
+  return w.Take();
+}
+std::string RowBytes(const MinimumSketchRow& row) {
+  wire::ByteWriter w;
+  wire::EncodeMinimumPayload(w, row, /*embed_hash=*/true);
+  return w.Take();
+}
+std::string RowBytes(const EstimationSketchRow& row) {
+  wire::ByteWriter w;
+  wire::EncodeEstimationPayload(w, row, /*embed_hash=*/true);
+  return w.Take();
+}
+std::string RowBytes(const FlajoletMartinRow& row) {
+  wire::ByteWriter w;
+  wire::EncodeFmPayload(w, row, /*embed_hash=*/true);
+  return w.Take();
+}
+
+// Decodes one RowBytes payload, which must be consumed exactly. `field`
+// is needed (and must outlive the row) only for Estimation rows.
+template <typename Row>
+Result<Row> DecodeRowBytes(std::string_view bytes,
+                           const Gf2Field* field = nullptr) {
+  constexpr uint16_t kV2 = SketchCodec::kFormatV2;
+  wire::ByteReader r(bytes);
+  std::optional<Row> row;
+  Status status;
+  if constexpr (std::is_same_v<Row, BucketingSketchRow>) {
+    status = wire::DecodeBucketingPayload(r, kV2, nullptr, &row);
+  } else if constexpr (std::is_same_v<Row, MinimumSketchRow>) {
+    status = wire::DecodeMinimumPayload(r, kV2, nullptr, &row);
+  } else if constexpr (std::is_same_v<Row, EstimationSketchRow>) {
+    status = wire::DecodeEstimationPayload(r, kV2, *field, nullptr, &row);
+  } else {
+    status = wire::DecodeFmPayload(r, kV2, nullptr, &row);
+  }
+  if (!status.ok()) return status;
+  if (!r.Done()) return Status::ParseError("trailing bytes after row");
+  return *std::move(row);
+}
+
 // ---- codec ----------------------------------------------------------------
 
 TEST(SketchCodecTest, RoundTripsEstimatorForAllAlgorithms) {
@@ -92,42 +140,33 @@ TEST(SketchCodecTest, RoundTripsIndividualRows) {
   BucketingSketchRow bucketing(16, 8, rng);
   for (const uint64_t x : xs) bucketing.Add(x);
   Result<BucketingSketchRow> b =
-      SketchCodec::DecodeBucketingRow(SketchCodec::Encode(bucketing));
+      DecodeRowBytes<BucketingSketchRow>(RowBytes(bucketing));
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(b.value().level(), bucketing.level());
-  EXPECT_EQ(SketchCodec::Encode(b.value()), SketchCodec::Encode(bucketing));
+  EXPECT_EQ(RowBytes(b.value()), RowBytes(bucketing));
 
   MinimumSketchRow minimum(16, 8, rng);
   for (const uint64_t x : xs) minimum.Add(x);
   Result<MinimumSketchRow> m =
-      SketchCodec::DecodeMinimumRow(SketchCodec::Encode(minimum));
+      DecodeRowBytes<MinimumSketchRow>(RowBytes(minimum));
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   EXPECT_EQ(m.value().values(), minimum.values());
   EXPECT_TRUE(m.value().hash() == minimum.hash());
 
   FlajoletMartinRow fm(16, rng);
   for (const uint64_t x : xs) fm.Add(x);
-  Result<FlajoletMartinRow> f =
-      SketchCodec::DecodeFlajoletMartinRow(SketchCodec::Encode(fm));
+  Result<FlajoletMartinRow> f = DecodeRowBytes<FlajoletMartinRow>(RowBytes(fm));
   ASSERT_TRUE(f.ok()) << f.status().ToString();
   EXPECT_EQ(f.value().max_trailing_zeros(), fm.max_trailing_zeros());
 
   const Gf2Field field(16);
   EstimationSketchRow estimation(&field, 6, 3, rng);
   for (const uint64_t x : xs) estimation.Add(x);
-  Result<EstimationSketchRow> e = SketchCodec::DecodeEstimationRow(
-      SketchCodec::Encode(estimation), &field);
+  Result<EstimationSketchRow> e =
+      DecodeRowBytes<EstimationSketchRow>(RowBytes(estimation), &field);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_EQ(e.value().cells(), estimation.cells());
   EXPECT_TRUE(e.value().hashes() == estimation.hashes());
-
-  // Cells-only rows (the §4 coordinator shape) need no field at all.
-  EstimationSketchRow cells_only(6);
-  cells_only.Merge(2, 9);
-  Result<EstimationSketchRow> c = SketchCodec::DecodeEstimationRow(
-      SketchCodec::Encode(cells_only), nullptr);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_EQ(c.value().cells(), cells_only.cells());
 }
 
 // The v1 decoder's truncation/corruption sweeps run over the golden v1
@@ -178,8 +217,7 @@ TEST(SketchCodecTest, RejectsStructurallyInvalidRowState) {
   bucket.insert(outside);
   const BucketingSketchRow tampered(honest.hash(), honest.thresh(),
                                     honest.level(), std::move(bucket));
-  EXPECT_FALSE(
-      SketchCodec::DecodeBucketingRow(SketchCodec::Encode(tampered)).ok());
+  EXPECT_FALSE(DecodeRowBytes<BucketingSketchRow>(RowBytes(tampered)).ok());
 
   // An over-full bucket below the deepest level is unreachable state too.
   std::unordered_set<uint64_t> oversized;
@@ -188,15 +226,23 @@ TEST(SketchCodecTest, RejectsStructurallyInvalidRowState) {
   }
   const BucketingSketchRow overfull(honest.hash(), honest.thresh(),
                                     honest.level(), std::move(oversized));
-  EXPECT_FALSE(
-      SketchCodec::DecodeBucketingRow(SketchCodec::Encode(overfull)).ok());
+  EXPECT_FALSE(DecodeRowBytes<BucketingSketchRow>(RowBytes(overfull)).ok());
 
   // A minimum row whose hash input width exceeds the word universe: Add()
   // on such a row would be undefined, so the decoder refuses it.
   const AffineHash wide = AffineHash::SampleXor(65, 8, rng);
   const MinimumSketchRow wide_row(wide, 4);
+  EXPECT_FALSE(DecodeRowBytes<MinimumSketchRow>(RowBytes(wide_row)).ok());
+
+  // An Estimation row without hash functions (the cells-only §3.4/§4
+  // shape) never travels: its hash marker is rejected at once.
+  const Gf2Field field(16);
+  wire::ByteWriter cells_only;
+  cells_only.U8(0);      // no hashes
+  cells_only.Varint(1);  // one cell
+  cells_only.U8(0);      // the packed cell block
   EXPECT_FALSE(
-      SketchCodec::DecodeMinimumRow(SketchCodec::Encode(wide_row)).ok());
+      DecodeRowBytes<EstimationSketchRow>(cells_only.Take(), &field).ok());
 }
 
 TEST(SketchCodecTest, RejectsHugeRowCountWithoutAllocating) {
@@ -228,12 +274,33 @@ TEST(SketchCodecTest, RejectsHugeRowCountWithoutAllocating) {
 }
 
 TEST(SketchCodecTest, RejectsMismatchedFrameKind) {
+  // Kinds 1-4 and 6 once held single rows. They are retired, so a frame
+  // claiming one is refused by both whole-sketch decoders.
   Rng rng(9);
-  MinimumSketchRow row(16, 4, rng);
-  const std::string blob = SketchCodec::Encode(row);
-  EXPECT_FALSE(SketchCodec::DecodeBucketingRow(blob).ok());
-  EXPECT_FALSE(SketchCodec::DecodeF0Estimator(blob).ok());
-  EXPECT_TRUE(SketchCodec::DecodeMinimumRow(blob).ok());
+  const std::string row = RowBytes(MinimumSketchRow(16, 4, rng));
+  for (const uint8_t kind : {1, 2, 3, 4, 6}) {
+    const std::string blob =
+        wire::WrapFrameRaw(kind, SketchCodec::kFormatV2, row);
+    EXPECT_FALSE(SketchCodec::DecodeF0Estimator(blob).ok()) << int{kind};
+    EXPECT_FALSE(SketchCodec::DecodeStructuredF0(blob).ok()) << int{kind};
+  }
+
+  // The two whole-sketch kinds are not interchangeable either.
+  F0Estimator est(SmallParams(F0Algorithm::kMinimum));
+  EXPECT_FALSE(
+      SketchCodec::DecodeStructuredF0(SketchCodec::Encode(est)).ok());
+  EXPECT_TRUE(SketchCodec::DecodeF0Estimator(SketchCodec::Encode(est)).ok());
+  for (const StructuredF0Algorithm algorithm :
+       {StructuredF0Algorithm::kMinimum, StructuredF0Algorithm::kBucketing}) {
+    StructuredF0Params params;
+    params.n = 12;
+    params.algorithm = algorithm;
+    params.thresh_override = 8;
+    params.rows_override = 3;
+    EXPECT_FALSE(SketchCodec::DecodeF0Estimator(
+                     SketchCodec::Encode(StructuredF0(params)))
+                     .ok());
+  }
 }
 
 // ---- v2 wire format -------------------------------------------------------
@@ -280,7 +347,7 @@ TEST(SketchCodecTest, V2DeltaSetEdgeCases) {
   // Empty KMV set: a fresh Minimum row round-trips with zero values.
   const MinimumSketchRow empty(16, 8, rng);
   Result<MinimumSketchRow> decoded =
-      SketchCodec::DecodeMinimumRow(SketchCodec::Encode(empty));
+      DecodeRowBytes<MinimumSketchRow>(RowBytes(empty));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded.value().values().empty());
 
@@ -291,9 +358,9 @@ TEST(SketchCodecTest, V2DeltaSetEdgeCases) {
     wide.Add(x);
   }
   Result<BucketingSketchRow> wide_back =
-      SketchCodec::DecodeBucketingRow(SketchCodec::Encode(wide));
+      DecodeRowBytes<BucketingSketchRow>(RowBytes(wide));
   ASSERT_TRUE(wide_back.ok()) << wide_back.status().ToString();
-  EXPECT_EQ(SketchCodec::Encode(wide_back.value()), SketchCodec::Encode(wide));
+  EXPECT_EQ(RowBytes(wide_back.value()), RowBytes(wide));
 
   // A crafted delta chain that wraps past 2^64 must be rejected, not
   // wrapped: first element 2^64 - 1, then any further gap overflows.
@@ -304,10 +371,7 @@ TEST(SketchCodecTest, V2DeltaSetEdgeCases) {
   w.Varint(2);   // count
   w.Varint(~0ull);  // first element = 2^64 - 1
   w.Varint(0);      // gap - 1 = 0 -> next element would be 2^64
-  EXPECT_FALSE(SketchCodec::DecodeBucketingRow(
-                   wire::WrapFrame(SketchFrameKind::kBucketingRow,
-                                   SketchCodec::kFormatV2, w.Take()))
-                   .ok());
+  EXPECT_FALSE(DecodeRowBytes<BucketingSketchRow>(w.Take()).ok());
 
   // Elements above 2^n round-trip: ingestion stores the raw 64-bit word
   // (only its hash is n-bit), v1 shipped raw U64s, and v2 must keep every
@@ -319,10 +383,9 @@ TEST(SketchCodecTest, V2DeltaSetEdgeCases) {
     raw_word.Add(x);
   }
   Result<BucketingSketchRow> raw_back =
-      SketchCodec::DecodeBucketingRow(SketchCodec::Encode(raw_word));
+      DecodeRowBytes<BucketingSketchRow>(RowBytes(raw_word));
   ASSERT_TRUE(raw_back.ok()) << raw_back.status().ToString();
-  EXPECT_EQ(SketchCodec::Encode(raw_back.value()),
-            SketchCodec::Encode(raw_word));
+  EXPECT_EQ(RowBytes(raw_back.value()), RowBytes(raw_word));
 }
 
 TEST(SketchCodecTest, V2RejectsAmplifiedSeedHashWithoutAllocating) {
@@ -344,10 +407,7 @@ TEST(SketchCodecTest, V2RejectsAmplifiedSeedHashWithoutAllocating) {
     w.Varint(8);  // thresh
     w.Varint(0);  // value count
     w.U8(1);      // preimage-coded (empty)
-    EXPECT_FALSE(SketchCodec::DecodeMinimumRow(
-                     wire::WrapFrame(SketchFrameKind::kMinimumRow,
-                                     SketchCodec::kFormatV2, w.Take()))
-                     .ok())
+    EXPECT_FALSE(DecodeRowBytes<MinimumSketchRow>(w.Take()).ok())
         << n << "x" << m;
   }
 }
@@ -364,11 +424,11 @@ TEST(SketchCodecTest, V2KmvFallsBackWhenValuesHaveNoPreimage) {
   // until insertion keeps it (thresh has room), then check the codec.
   BitVec alien = BitVec::Ones(row.output_bits());
   row.AddHashed(alien);
-  const std::string blob = SketchCodec::Encode(row);
-  Result<MinimumSketchRow> decoded = SketchCodec::DecodeMinimumRow(blob);
+  const std::string blob = RowBytes(row);
+  Result<MinimumSketchRow> decoded = DecodeRowBytes<MinimumSketchRow>(blob);
   if (decoded.ok()) {
     EXPECT_EQ(decoded.value().values(), row.values());
-    EXPECT_EQ(SketchCodec::Encode(decoded.value()), blob);
+    EXPECT_EQ(RowBytes(decoded.value()), blob);
   } else {
     // Only acceptable failure: `alien` happened to lie in the hash image
     // after all (a 24-bit hash of an 8-bit universe misses it with
@@ -389,7 +449,7 @@ TEST(SketchCodecTest, V2ToeplitzKindWithDenseMatrixStillRoundTrips) {
   MinimumSketchRow row(fake, 4);
   row.Add(77);
   Result<MinimumSketchRow> decoded =
-      SketchCodec::DecodeMinimumRow(SketchCodec::Encode(row));
+      DecodeRowBytes<MinimumSketchRow>(RowBytes(row));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded.value().hash() == fake);
   EXPECT_EQ(decoded.value().values(), row.values());
@@ -546,6 +606,21 @@ TEST(SketchMergeTest, StreamingMergeRejectsMismatchedInputs) {
   std::stringstream out2;
   EXPECT_FALSE(
       MergeSketchStreams({{"7", blob7}, {"garbage", "garbage"}}, out2).ok());
+  // A failed merge writes nothing: the frame goes out once, at the end.
+  EXPECT_TRUE(out.str().empty());
+  EXPECT_TRUE(out2.str().empty());
+}
+
+TEST(SketchMergeTest, StreamingMergeReportsAFailedOutputStream) {
+  F0Estimator est(SmallParams(F0Algorithm::kMinimum));
+  for (const uint64_t x : RandomStream(100, 80, 95)) est.Add(x);
+  const std::string blob = SketchCodec::Encode(est);
+  std::ostringstream out;
+  out.setstate(std::ios::badbit);
+  auto stats = MergeSketchStreams({{"a", blob}, {"b", blob}}, out);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kUnavailable)
+      << stats.status().ToString();
 }
 
 // ---- merge algebra --------------------------------------------------------

@@ -2,8 +2,10 @@
 // through the wire format: at each setting we build sketches over streams
 // with known F0 using the paper's own parameter formulas (Thresh =
 // ceil(96 / eps^2), t = ceil(35 log2(1/delta)) — no overrides), round
-// every sketch through the v1 *and* v2 codecs, and tally how often the
-// relative error exceeds eps across >= 200 independently seeded trials.
+// every sketch through the v2 codec (the only one that encodes; v1 is
+// read-only and pinned by codec_compat_test's golden files), and tally
+// how often the relative error exceeds eps across >= 200 independently
+// seeded trials.
 // The paper promises failure probability <= delta; with its generous
 // constants the true rate sits far below that, so asserting
 // failures <= delta * trials is robust against binomial noise while still

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -66,6 +67,25 @@ StructuredF0 BuildSketch(const StructuredF0Params& params,
   StructuredF0 sketch(params);
   for (const Term& t : terms) sketch.AddTerms({t});
   return sketch;
+}
+
+// Sketch files hold whole sketches only, so row-level cases run the
+// payload codec directly: v2 bytes with the row's hash embedded, decoded
+// back with the payload consumed exactly.
+std::string RowBytes(const StructuredBucketRow& row) {
+  wire::ByteWriter w;
+  wire::EncodeStructuredBucketPayload(w, row, /*embed_hash=*/true);
+  return w.Take();
+}
+
+Result<StructuredBucketRow> DecodeRowBytes(std::string_view bytes) {
+  wire::ByteReader r(bytes);
+  std::optional<StructuredBucketRow> row;
+  Status status = wire::DecodeStructuredBucketPayload(
+      r, SketchCodec::kFormatV2, nullptr, &row);
+  if (!status.ok()) return status;
+  if (!r.Done()) return Status::ParseError("trailing bytes after row");
+  return *std::move(row);
 }
 
 // ---- codec round trips ----------------------------------------------------
@@ -144,13 +164,12 @@ TEST(StructuredSketchCodecTest, StandaloneStructuredBucketRowRoundTrips) {
   StructuredBucketRow row(AffineHash::SampleToeplitz(10, 10, rng), 6);
   for (int i = 0; i < 200; ++i) row.AddElement(BitVec::Random(10, rng));
   EXPECT_GT(row.level(), 0);
-  const std::string blob = SketchCodec::Encode(row);
-  Result<StructuredBucketRow> decoded =
-      SketchCodec::DecodeStructuredBucketRow(blob);
+  const std::string blob = RowBytes(row);
+  Result<StructuredBucketRow> decoded = DecodeRowBytes(blob);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().level(), row.level());
   EXPECT_EQ(decoded.value().bucket(), row.bucket());
-  EXPECT_EQ(SketchCodec::Encode(decoded.value()), blob);
+  EXPECT_EQ(RowBytes(decoded.value()), blob);
 }
 
 TEST(StructuredSketchCodecTest, RejectsStructurallyInvalidRowState) {
@@ -172,9 +191,7 @@ TEST(StructuredSketchCodecTest, RejectsStructurallyInvalidRowState) {
   bucket.insert(outside);
   const StructuredBucketRow tampered(honest.hash(), honest.thresh(),
                                      honest.level(), std::move(bucket));
-  EXPECT_FALSE(
-      SketchCodec::DecodeStructuredBucketRow(SketchCodec::Encode(tampered))
-          .ok());
+  EXPECT_FALSE(DecodeRowBytes(RowBytes(tampered)).ok());
 
   // An over-full bucket below the deepest level is unreachable state too.
   std::set<BitVec> oversized;
@@ -186,9 +203,7 @@ TEST(StructuredSketchCodecTest, RejectsStructurallyInvalidRowState) {
   ASSERT_GT(oversized.size(), honest.thresh());
   const StructuredBucketRow overfull(honest.hash(), honest.thresh(),
                                      honest.level(), std::move(oversized));
-  EXPECT_FALSE(
-      SketchCodec::DecodeStructuredBucketRow(SketchCodec::Encode(overfull))
-          .ok());
+  EXPECT_FALSE(DecodeRowBytes(RowBytes(overfull)).ok());
 }
 
 // ---- fuzz -----------------------------------------------------------------
@@ -527,10 +542,18 @@ TEST(SketchVariantTest, DecodeDispatchesOnFrameKind) {
   SketchVariant into = std::move(from_raw).value();
   EXPECT_FALSE(Merge(into, from_structured.value()).ok());
 
-  // Row frames are rejected, not misdecoded.
+  // The retired row-frame kinds are rejected, not misdecoded.
   Rng rng(61);
-  MinimumSketchRow row(16, 4, rng);
-  EXPECT_FALSE(SketchVariant::Decode(SketchCodec::Encode(row)).ok());
+  wire::ByteWriter row;
+  wire::EncodeMinimumPayload(row, MinimumSketchRow(16, 4, rng),
+                             /*embed_hash=*/true);
+  const std::string payload = row.Take();
+  for (const uint8_t kind : {1, 2, 3, 4, 6}) {
+    EXPECT_FALSE(SketchVariant::Decode(
+                     wire::WrapFrameRaw(kind, SketchCodec::kFormatV2, payload))
+                     .ok())
+        << int{kind};
+  }
 }
 
 TEST(StructuredSketchCodecTest, PackedCellsKeepSparseEstimationFramesValid) {

@@ -1005,47 +1005,33 @@ int RunSketchMerge(const CommonOptions& opts) {
   }
 
   WallTimer timer;
-  // Streaming reduce: the inputs are co-iterated row by row and each
-  // merged row is written out immediately, so decoded sketch state never
-  // exceeds one accumulator row plus one in-flight row — regardless of
-  // how many shard files are being merged. (Raw file bytes are still
-  // buffered; see ROADMAP for the mmap follow-on.) Input labels ride
-  // through the engine, so a corrupt or mismatched shard is named in this
-  // same single pass — no pre-open validation sweep, no double
-  // checksumming.
+  // Streaming reduce: the inputs are co-iterated row by row, so decoded
+  // sketch state never exceeds one accumulator row plus one in-flight
+  // row, regardless of how many shard files are being merged. (Raw file
+  // bytes are still buffered; see ROADMAP for the mmap follow-on.) Input
+  // labels ride through the engine, so a corrupt or mismatched shard is
+  // named in this same single pass. The merged frame stays in memory
+  // until the merge has succeeded, so a failed merge leaves --out as it
+  // was.
   std::vector<std::string> blobs;
   blobs.reserve(opts.inputs.size());
   for (const std::string& path : opts.inputs) {
     blobs.push_back(ReadBinaryFile(path));
   }
-  uint64_t file_bytes = 0;
-  {
-    std::ofstream out(opts.out, std::ios::binary | std::ios::trunc);
-    if (!out) Fail("cannot write " + opts.out);
-    std::vector<LabeledSource> sources;
-    sources.reserve(blobs.size());
-    for (size_t i = 0; i < blobs.size(); ++i) {
-      sources.push_back(LabeledSource{opts.inputs[i], blobs[i]});
-    }
-    const Result<SketchStreamMergeStats> merged =
-        MergeSketchStreams(sources, out);
-    if (!merged.ok()) {
-      out.close();
-      std::remove(opts.out.c_str());  // discard the partial frame
-      Fail(merged.status().ToString());
-    }
-    out.close();
-    if (!out) {
-      std::remove(opts.out.c_str());  // discard the truncated frame
-      Fail("failed writing " + opts.out);
-    }
-    file_bytes = merged.value().frame_bytes;
+  std::vector<LabeledSource> sources;
+  sources.reserve(blobs.size());
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    sources.push_back(LabeledSource{opts.inputs[i], blobs[i]});
   }
-  // Re-open the merged frame (one sketch, independent of input count)
-  // for the estimate and parameter echo in the JSON result.
-  const std::string merged_blob = ReadBinaryFile(opts.out);
+  std::ostringstream out;
+  const Result<SketchStreamMergeStats> stats = MergeSketchStreams(sources, out);
+  if (!stats.ok()) Fail(stats.status().ToString());
+  const std::string merged_blob = out.str();
+  // Decode the merged frame (one sketch, independent of input count) for
+  // the estimate and parameter echo in the JSON result.
   Result<SketchVariant> merged = SketchVariant::Decode(merged_blob);
   if (!merged.ok()) Fail(opts.out + ": " + merged.status().ToString());
+  WriteBinaryFile(opts.out, merged_blob);
 
   JsonObject json = NewJson("sketch");
   json.Add("action", std::string("merge"));
@@ -1055,7 +1041,7 @@ int RunSketchMerge(const CommonOptions& opts) {
   AddVariantParams(json, merged.value());
   json.Add("estimate", merged.value().Estimate());
   json.Add("space_bits", static_cast<uint64_t>(merged.value().SpaceBits()));
-  json.Add("file_bytes", file_bytes);
+  json.Add("file_bytes", static_cast<uint64_t>(merged_blob.size()));
   json.Add("time_ms", timer.Seconds() * 1e3);
   json.Print();
   return 0;
