@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "common/median.hpp"
+#include "common/paper_sizing.hpp"
 #include "common/rng.hpp"
 #include "oracle/bounded_sat.hpp"
 
@@ -11,12 +12,12 @@ namespace mcf0 {
 
 uint64_t CountingThresh(const CountingParams& params) {
   if (params.thresh_override > 0) return params.thresh_override;
-  return static_cast<uint64_t>(std::ceil(96.0 / (params.eps * params.eps)));
+  return PaperThresh(params.eps);
 }
 
 int CountingRows(const CountingParams& params) {
   if (params.rows_override > 0) return params.rows_override;
-  return static_cast<int>(std::ceil(35.0 * std::log2(1.0 / params.delta)));
+  return PaperRows(params.delta);
 }
 
 AffineHash SampleCountingHash(int n, int m, const CountingParams& params,

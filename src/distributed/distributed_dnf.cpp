@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/median.hpp"
+#include "common/paper_sizing.hpp"
 #include "common/rng.hpp"
 #include "engine/sketch_merge.hpp"
 #include "hash/gf2_poly.hpp"
@@ -18,12 +19,12 @@ namespace {
 
 uint64_t DistThresh(const DistributedParams& p) {
   if (p.thresh_override > 0) return p.thresh_override;
-  return static_cast<uint64_t>(std::ceil(96.0 / (p.eps * p.eps)));
+  return PaperThresh(p.eps);
 }
 
 int DistRows(const DistributedParams& p) {
   if (p.rows_override > 0) return p.rows_override;
-  return static_cast<int>(std::ceil(35.0 * std::log2(1.0 / p.delta)));
+  return PaperRows(p.delta);
 }
 
 int CeilLog2(uint64_t v) {

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <ostream>
 #include <set>
+#include <string>
 #include <unordered_set>
-#include <type_traits>
 #include <utility>
-#include <variant>
 
 #include "engine/sketch_codec.hpp"
-#include "engine/sketch_reader.hpp"
-#include "engine/wire.hpp"
 
 namespace mcf0 {
 namespace {
@@ -21,65 +18,6 @@ Status Incompatible(const char* what) {
       ": sketches are only mergeable when built from the same parameters "
       "and seed (identical hash state)");
 }
-
-/// Unions `from` into `acc` when both hold the same row alternative.
-Status MergeUnits(SketchReader::Unit& acc, const SketchReader::Unit& from) {
-  return std::visit(
-      [&](auto& into) -> Status {
-        using Row = std::decay_t<decltype(into)>;
-        const Row* other = std::get_if<Row>(&from);
-        if (other == nullptr) {
-          return Status::InvalidArgument("sketch merge: row kind mismatch");
-        }
-        return Merge(into, *other);
-      },
-      acc);
-}
-
-/// Serializes one merged row in whole-sketch-frame context.
-void EncodeUnit(wire::ByteWriter& w, const SketchReader::Unit& unit,
-                bool embed_hash) {
-  std::visit(
-      [&](const auto& row) {
-        using Row = std::decay_t<decltype(row)>;
-        if constexpr (std::is_same_v<Row, BucketingSketchRow>) {
-          wire::EncodeBucketingPayload(w, row, embed_hash);
-        } else if constexpr (std::is_same_v<Row, MinimumSketchRow>) {
-          wire::EncodeMinimumPayload(w, row, embed_hash);
-        } else if constexpr (std::is_same_v<Row, EstimationSketchRow>) {
-          wire::EncodeEstimationPayload(w, row, embed_hash);
-        } else if constexpr (std::is_same_v<Row, StructuredBucketRow>) {
-          wire::EncodeStructuredBucketPayload(w, row, embed_hash);
-        } else {
-          wire::EncodeFmPayload(w, row, embed_hash);
-        }
-      },
-      unit);
-}
-
-/// RAII wrapper whose constructor/destructor track how many decoded rows
-/// are alive at once — max_resident_units is a *measurement* of these
-/// objects' real lifetimes, so a regression that starts buffering rows
-/// (e.g. collecting ResidentUnits in a container) shows up in the stat
-/// and fails the reducer-memory test.
-class ResidentUnit {
- public:
-  ResidentUnit(SketchReader::Unit&& unit, int* live, int* peak)
-      : unit_(std::move(unit)), live_(live) {
-    ++*live_;
-    *peak = std::max(*peak, *live_);
-  }
-  ~ResidentUnit() { --*live_; }
-  ResidentUnit(const ResidentUnit&) = delete;
-  ResidentUnit& operator=(const ResidentUnit&) = delete;
-
-  SketchReader::Unit& unit() { return unit_; }
-  const SketchReader::Unit& unit() const { return unit_; }
-
- private:
-  SketchReader::Unit unit_;
-  int* live_;
-};
 
 }  // namespace
 
@@ -239,38 +177,33 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
   auto attributed = [&](size_t i, const Status& status) {
     return status.WithPrefix(std::string(inputs[i].name));
   };
-  std::vector<SketchReader> readers;
-  readers.reserve(inputs.size());
-  // Elide hash state only when *every* input frame attested canonical
-  // hashes — then each decoded hash (matrices, offsets, and
-  // representation-bit counts alike) came from the canonical sampler, so
-  // the merged frame round-trips exactly. A partial attestation would
-  // almost work (Merge() proves matrix/offset equality row by row), but
-  // AffineHash::operator== ignores representation bits, so an embedded
-  // input could smuggle nonstandard repr counts into an elided output.
-  // With any embedded input, stay conservative and embed.
-  bool elide = true;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    auto opened = SketchReader::Open(inputs[i].bytes);
-    if (!opened.ok()) return attributed(i, opened.status());
-    readers.push_back(std::move(opened).value());
-    elide = elide && readers.back().hashes_elided();
-  }
-  const bool structured = readers.front().structured();
-  for (size_t i = 1; i < readers.size(); ++i) {
-    if (readers[i].structured() != structured) {
+  // The union starts as input 0 and keeps its hashes: each Merge() below
+  // proves the next input's hashes equal before folding its row contents
+  // in. So the merged frame is exactly Encode of the union, which elides
+  // hash state when input 0's is attested or proven canonical — a later
+  // input's representation of its (equal) hashes never reaches the output.
+  auto first = SketchVariant::Decode(inputs.front().bytes);
+  if (!first.ok()) return attributed(0, first.status());
+  SketchVariant merged = std::move(first).value();
+  const bool structured = merged.structured();
+  for (size_t i = 1; i < inputs.size(); ++i) {
+    // One decoded input at a time is alive beside the union.
+    auto next = SketchVariant::Decode(inputs[i].bytes);
+    if (!next.ok()) return attributed(i, next.status());
+    const SketchVariant& from = next.value();
+    if (from.structured() != structured) {
       if (inputs[i].name.empty()) return Incompatible("F0 sketches");
       return Status::InvalidArgument(
           std::string(inputs[i].name) + " holds a " +
-          (readers[i].structured() ? "structured" : "raw") + " sketch but " +
+          (from.structured() ? "structured" : "raw") + " sketch but " +
           std::string(inputs.front().name) + " holds a " +
           (structured ? "structured" : "raw") +
           " one (sketch kinds do not merge with each other)");
     }
     const bool same_params =
-        structured ? readers[i].structured_params() ==
-                         readers.front().structured_params()
-                   : readers[i].params() == readers.front().params();
+        structured ? from.structured_sketch().params() ==
+                         merged.structured_sketch().params()
+                   : from.raw().params() == merged.raw().params();
     if (!same_params) {
       if (inputs[i].name.empty()) return Incompatible("F0 sketches");
       return Status::InvalidArgument(
@@ -279,61 +212,16 @@ Result<SketchStreamMergeStats> MergeSketchStreams(
           " (sketches merge only when built from the same parameters and "
           "seed)");
     }
+    Status status = Merge(merged, from);
+    if (!status.ok()) return attributed(i, status);
   }
-  const bool estimation =
-      !structured &&
-      readers.front().params().algorithm == F0Algorithm::kEstimation;
-
-  const int rows = structured
-                       ? StructuredF0Rows(readers.front().structured_params())
-                       : F0Rows(readers.front().params());
-  wire::ByteWriter payload;
-  if (structured) {
-    wire::EncodeStructuredParams(payload, readers.front().structured_params());
-  } else {
-    wire::EncodeParams(payload, readers.front().params());
-  }
-  payload.U8(elide ? 1 : 0);
-  if (estimation) {
-    const Gf2Field* field = readers.front().field();
-    payload.Varint(static_cast<uint64_t>(field->degree()));
-    payload.U64(field->modulus_low());
-  }
-  payload.Varint(static_cast<uint64_t>(rows));
-
-  SketchStreamMergeStats stats;
-  int live_units = 0;
-  const int num_units = readers.front().num_units();
-  for (int k = 0; k < num_units; ++k) {
-    // The FM block's own row count sits between the two row sequences.
-    if (estimation && k == rows) payload.Varint(static_cast<uint64_t>(rows));
-    auto first = readers.front().Next();
-    if (!first.ok()) return attributed(0, first.status());
-    ResidentUnit acc(std::move(first).value(), &live_units,
-                     &stats.max_resident_units);
-    for (size_t j = 1; j < readers.size(); ++j) {
-      auto next = readers[j].Next();
-      if (!next.ok()) return attributed(j, next.status());
-      // `from` lives only for this fold: the accumulator plus one
-      // in-flight row is the whole decoded footprint.
-      const ResidentUnit from(std::move(next).value(), &live_units,
-                              &stats.max_resident_units);
-      Status status = MergeUnits(acc.unit(), from.unit());
-      if (!status.ok()) return attributed(j, status);
-    }
-    EncodeUnit(payload, acc.unit(), /*embed_hash=*/!elide);
-    ++stats.units;
-  }
-  const std::string frame = wire::WrapFrame(
-      structured ? SketchFrameKind::kStructuredF0
-                 : SketchFrameKind::kF0Estimator,
-      SketchCodec::kFormatV2, payload.Take());
+  const std::string frame = merged.Encode();
   out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   // The destination stream failing is an environment problem (disk full,
   // pipe closed), not a codec bug: kUnavailable, so the server can map it
   // to the matching protocol error frame.
   if (!out) return Status::Unavailable("sketch merge: stream write failed");
-  return stats;
+  return SketchStreamMergeStats{};
 }
 
 Result<SketchStreamMergeStats> MergeSketchStreams(

@@ -64,14 +64,9 @@ Status Merge(StructuredF0& into, const StructuredF0& from);
 /// structured with structured; mixing kinds is InvalidArgument.
 Status Merge(SketchVariant& into, const SketchVariant& from);
 
-/// What MergeSketchStreams did, for callers that report on it.
-struct SketchStreamMergeStats {
-  int units = 0;  ///< rows folded (per input)
-  /// Peak number of decoded rows simultaneously alive during the merge —
-  /// the accumulator plus at most one in-flight row, *independent of the
-  /// input count*. The reducer-memory test pins this at <= 2.
-  int max_resident_units = 0;
-};
+/// MergeSketchStreams' success value. It carries nothing; the type stays
+/// because bench/mcf0_bench/layers.cpp names it.
+struct SketchStreamMergeStats {};
 
 /// One reducer input with a name for error attribution. `name` is
 /// typically the shard's file name; an empty name degrades every error
@@ -81,22 +76,21 @@ struct LabeledSource {
   std::string_view bytes;
 };
 
-/// The bounded-memory reducer: folds N serialized whole-sketch frames
-/// (raw estimators or structured sketches — all inputs one kind) into one
-/// merged frame without ever materializing a whole sketch. Inputs are
-/// co-iterated row by row through SketchReader cursors, each row union is
-/// encoded into the output payload at once, and the decoded state alive
-/// at any instant is one accumulator row plus the row being folded in.
-/// The merged frame is written to `out` once, at the end, and only on
-/// success: a failed merge writes nothing, and a failed write of `out`
-/// is kUnavailable. All inputs must share parameters; v1 and v2 raw
-/// inputs mix freely (structured frames are v2-only). The output is
-/// always a v2 frame; it elides hash state only when *every* input frame
-/// attested canonical hashes (i.e. all are seed-elided v2), otherwise
-/// hashes are embedded. Every error is attributed to the offending input
-/// by name in a single pass — corrupt shards, parameter mismatches, and
-/// row-level incompatibilities alike — so callers need no pre-open
-/// validation sweep.
+/// The reducer: folds N serialized whole-sketch frames (raw estimators
+/// or structured sketches — all inputs one kind) into one merged frame.
+/// Inputs are decoded one at a time and folded into the union with
+/// Merge(), so the decoded state alive at any instant is the union plus
+/// one input, however many inputs there are. The merged frame is exactly
+/// SketchCodec::Encode of the union, written to `out` once, at the end,
+/// and only on success: a failed merge writes nothing, and a failed write
+/// of `out` is kUnavailable. All inputs must share parameters; v1 and v2
+/// raw inputs mix freely (structured frames are v2-only). The union keeps
+/// input 0's hashes (Merge() never changes them), so the output — always
+/// a v2 frame — elides hash state when input 0's hashes are attested or
+/// proven canonical, by Encode's own rule. Every error is attributed to the
+/// offending input by name in a single pass — corrupt shards, parameter
+/// mismatches, and row-level incompatibilities alike — so callers need no
+/// pre-open validation sweep.
 Result<SketchStreamMergeStats> MergeSketchStreams(
     const std::vector<LabeledSource>& inputs, std::ostream& out);
 

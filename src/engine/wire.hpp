@@ -4,12 +4,10 @@
 /// This is the engine's *internal* serialization toolkit: byte-exact
 /// little-endian primitives (ByteWriter / ByteReader), the framed header
 /// (WrapFrame / UnwrapFrame), and the per-row payload codecs
-/// (docs/wire_format.md). Three consumers build on it and nothing else
-/// should:
-///
-///   * `SketchCodec`   — whole-blob encode/decode (sketch_codec.hpp)
-///   * `SketchReader`  — incremental row-at-a-time decode (sketch_reader.hpp)
-///   * `MergeSketchStreams` — bounded-memory reducer merge (sketch_merge.hpp)
+/// (docs/wire_format.md). The sketch encoder and the two whole-sketch
+/// decoders (`SketchCodec`, sketch_codec.hpp) are its one sketch-level
+/// consumer; the serve protocol (src/net) reuses the primitives, the
+/// frame header and the parameter blocks.
 ///
 /// Every encoder writes version 2: Toeplitz hashes as diagonal seeds,
 /// seed-elided hash state for whole estimators, and delta+varint coded

@@ -206,73 +206,55 @@ Status PushClient::Flush() {
   return SendBufferedBatch();
 }
 
-Result<EstimateFrame> PushClient::QueryEstimate() {
+Status PushClient::Request(FrameType query, FrameType reply,
+                           const char* mismatch, Message* out) {
   Status status = Flush();
   if (!status.ok()) return status;
-  status = SendAll(WrapMessage(FrameType::kQueryEstimate, std::string()));
+  status = SendAll(WrapMessage(query, std::string()));
   if (!status.ok()) return status;
   for (;;) {
-    Message message;
-    status = ReadMessage(&message);
+    status = ReadMessage(out);
     if (!status.ok()) return status;
     bool handled = false;
-    status = HandleBookkeeping(message, &handled);
+    status = HandleBookkeeping(*out, &handled);
     if (!status.ok()) return status;
     if (handled) continue;
-    if (message.type != FrameType::kEstimate) {
-      return Status::ParseError("expected an estimate frame");
-    }
-    EstimateFrame estimate;
-    status = DecodeEstimate(message.payload, &estimate);
-    if (!status.ok()) return status;
-    return estimate;
+    if (out->type != reply) return Status::ParseError(mismatch);
+    return Status::Ok();
   }
+}
+
+Result<EstimateFrame> PushClient::QueryEstimate() {
+  Message message;
+  Status status = Request(FrameType::kQueryEstimate, FrameType::kEstimate,
+                          "expected an estimate frame", &message);
+  if (!status.ok()) return status;
+  EstimateFrame estimate;
+  status = DecodeEstimate(message.payload, &estimate);
+  if (!status.ok()) return status;
+  return estimate;
 }
 
 Result<std::string> PushClient::QuerySketch() {
-  Status status = Flush();
+  Message message;
+  Status status = Request(FrameType::kQuerySketch, FrameType::kSketch,
+                          "expected a sketch frame", &message);
   if (!status.ok()) return status;
-  status = SendAll(WrapMessage(FrameType::kQuerySketch, std::string()));
+  SketchFrame sketch;
+  status = DecodeSketch(message.payload, &sketch);
   if (!status.ok()) return status;
-  for (;;) {
-    Message message;
-    status = ReadMessage(&message);
-    if (!status.ok()) return status;
-    bool handled = false;
-    status = HandleBookkeeping(message, &handled);
-    if (!status.ok()) return status;
-    if (handled) continue;
-    if (message.type != FrameType::kSketch) {
-      return Status::ParseError("expected a sketch frame");
-    }
-    SketchFrame sketch;
-    status = DecodeSketch(message.payload, &sketch);
-    if (!status.ok()) return status;
-    return std::move(sketch.blob);
-  }
+  return std::move(sketch.blob);
 }
 
 Result<StatsReportFrame> PushClient::QueryStats() {
-  Status status = Flush();
+  Message message;
+  Status status = Request(FrameType::kStatsQuery, FrameType::kStatsReport,
+                          "expected a stats report frame", &message);
   if (!status.ok()) return status;
-  status = SendAll(WrapMessage(FrameType::kStatsQuery, std::string()));
+  StatsReportFrame report;
+  status = DecodeStatsReport(message.payload, &report);
   if (!status.ok()) return status;
-  for (;;) {
-    Message message;
-    status = ReadMessage(&message);
-    if (!status.ok()) return status;
-    bool handled = false;
-    status = HandleBookkeeping(message, &handled);
-    if (!status.ok()) return status;
-    if (handled) continue;
-    if (message.type != FrameType::kStatsReport) {
-      return Status::ParseError("expected a stats report frame");
-    }
-    StatsReportFrame report;
-    status = DecodeStatsReport(message.payload, &report);
-    if (!status.ok()) return status;
-    return report;
-  }
+  return report;
 }
 
 Status PushClient::Close() {

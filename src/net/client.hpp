@@ -87,6 +87,11 @@ class PushClient {
   Status AwaitCredit();
   /// Encodes and sends the buffered items as one batch.
   Status SendBufferedBatch();
+  /// One query round trip: flushes, sends a payload-less `query` frame,
+  /// and reads past bookkeeping frames to the reply, which must be of
+  /// type `reply` (else ParseError(`mismatch`)).
+  Status Request(FrameType query, FrameType reply, const char* mismatch,
+                 Message* out);
   Status CheckOpen() const;
 
   ScopedFd fd_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/median.hpp"
+#include "common/paper_sizing.hpp"
 #include "common/rng.hpp"
 #include "gf2/affine_image.hpp"
 #include "oracle/bounded_sat.hpp"
@@ -27,16 +28,12 @@ std::optional<AffineImage> AffineCellSolutions(const Gf2Matrix& a,
 
 uint64_t StructuredF0Thresh(const StructuredF0Params& params) {
   if (params.thresh_override > 0) return params.thresh_override;
-  const double thresh = std::ceil(96.0 / (params.eps * params.eps));
-  // Casting past 2^64 is UB; the wire decoder bounds eps before reaching
-  // here (exactly as for the raw-sketch F0Thresh).
-  MCF0_CHECK(thresh <= 9.0e18);
-  return static_cast<uint64_t>(thresh);
+  return PaperThresh(params.eps);
 }
 
 int StructuredF0Rows(const StructuredF0Params& params) {
   if (params.rows_override > 0) return params.rows_override;
-  return static_cast<int>(std::ceil(35.0 * std::log2(1.0 / params.delta)));
+  return PaperRows(params.delta);
 }
 
 // ---- StructuredBucketRow --------------------------------------------------

@@ -132,8 +132,8 @@ class StructuredF0RowSampler {
 /// Streaming F0 estimator over structured sets; see file comment.
 ///
 /// `StructuredF0` presents the same sealed sketch surface as
-/// `F0Estimator`: durable (SketchCodec structured frames), mergeable
-/// (sketch_merge), and cursor-readable (SketchReader) — with mutation
+/// `F0Estimator`: durable (SketchCodec structured frames) and mergeable
+/// (sketch_merge) — with mutation
 /// sealed behind the same move-only Parts exchange, so the
 /// `hashes_canonical` attestation survives by construction here too.
 class StructuredF0 {

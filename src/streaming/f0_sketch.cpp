@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/paper_sizing.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 
@@ -240,16 +241,12 @@ void FlajoletMartinRow::Add(std::span<const uint64_t> xs) {
 
 uint64_t F0Thresh(const F0Params& params) {
   if (params.thresh_override > 0) return params.thresh_override;
-  const double thresh = std::ceil(96.0 / (params.eps * params.eps));
-  // Casting past 2^64 is UB; an eps that small is a caller bug (the wire
-  // decoder bounds eps before ever reaching here).
-  MCF0_CHECK(thresh <= 9.0e18);
-  return static_cast<uint64_t>(thresh);
+  return PaperThresh(params.eps);
 }
 
 int F0Rows(const F0Params& params) {
   if (params.rows_override > 0) return params.rows_override;
-  return static_cast<int>(std::ceil(35.0 * std::log2(1.0 / params.delta)));
+  return PaperRows(params.delta);
 }
 
 int F0IndependenceS(const F0Params& params) {

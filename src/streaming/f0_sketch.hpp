@@ -244,8 +244,7 @@ void BumpSamplerRowDraws();
 /// so the sampling order is defined in exactly one place — which is what
 /// lets the v2 sketch wire format elide hash state entirely ("canonical
 /// hashes", docs/wire_format.md): a decoder re-derives every hash from
-/// `params.seed` by replaying the same draws, row by row, without holding
-/// more than one row's hashes in memory.
+/// `params.seed` by replaying the same draws, each row drawn once.
 class F0RowSampler {
  public:
   explicit F0RowSampler(const F0Params& params);

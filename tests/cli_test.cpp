@@ -306,10 +306,11 @@ TEST(CliTest, SketchShardedBuildMatchesSerialBuild) {
 }
 
 TEST(CliTest, SketchMerge32ShardsIsByteIdenticalToSinglePass) {
-  // The reducer contract end to end: build 32 shard sketches, stream-merge
-  // them (`sketch merge` folds row by row, so its memory stays bounded by
-  // one row no matter the shard count), and the merged file must be
-  // byte-identical to a single-pass build over the whole stream.
+  // The reducer contract end to end: build 32 shard sketches, merge them
+  // (`sketch merge` folds one decoded input at a time into the union, so
+  // its memory stays at two sketches no matter the shard count), and the
+  // merged file must be byte-identical to a single-pass build over the
+  // whole stream.
   constexpr int kShards = 32;
   std::vector<std::string> shard_streams(kShards);
   std::string full;
@@ -627,6 +628,34 @@ TEST(CliTest, StructuredSketchUsageErrors) {
                   .exit_code,
               1)
         << bad;
+  }
+}
+
+TEST(CliTest, StructuredInputsRejectUniversesAbove4096Bits) {
+  // Every structured input kind shares one universe cap. Past it the
+  // codec embeds a dense n x 3n hash per row, so an uncapped DNF header
+  // alone would turn a one-term file into a sketch of hundreds of
+  // megabytes. --delta 0.99 keeps the sketch at one row.
+  const std::string affine_item =
+      "a 4097 1\n1" + std::string(4096, '0') + "\n1\n";
+  const struct {
+    const char* kind;
+    std::string text;
+  } cases[] = {{"dnf", "p dnf 4097 1\n1 0\n"},
+               {"range", "p range 65 64\n0 1\n"},
+               {"affine", affine_item}};
+  for (const auto& [kind, text] : cases) {
+    const std::string path =
+        WriteFixture(std::string("wide_") + kind + ".txt", text);
+    const std::string out = testing::TempDir() + "/wide_" + kind + ".mcf0";
+    std::remove(out.c_str());
+    const RunOutput build =
+        RunCli(std::string("sketch build --delta 0.99 --input ") + kind +
+               " --out " + out + " " + path + " 2>&1");
+    EXPECT_EQ(build.exit_code, 1) << kind << ": " << build.stdout_text;
+    EXPECT_NE(build.stdout_text.find("exceeds 4096"), std::string::npos)
+        << kind << ": " << build.stdout_text;
+    EXPECT_FALSE(std::ifstream(out).good()) << kind << " wrote " << out;
   }
 }
 

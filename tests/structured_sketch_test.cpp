@@ -18,7 +18,6 @@
 #include "engine/sharded_engine.hpp"
 #include "engine/sketch_codec.hpp"
 #include "engine/sketch_merge.hpp"
-#include "engine/sketch_reader.hpp"
 #include "engine/wire.hpp"
 #include "formula/formula.hpp"
 #include "setstream/structured_f0.hpp"
@@ -289,43 +288,13 @@ TEST(StructuredSketchCodecTest, RejectsHostileParameterBlocks) {
   }
 }
 
-// ---- reader + streaming merge ---------------------------------------------
-
-TEST(StructuredSketchReaderTest, YieldsEveryRowInLayoutOrder) {
-  for (const StructuredF0Algorithm algorithm : kBothAlgorithms) {
-    const StructuredF0Params params = SmallParams(algorithm);
-    const StructuredF0 sketch = BuildSketch(params, MakeTerms(12, 15, 31));
-    const std::string blob = SketchCodec::Encode(sketch);
-
-    auto opened = SketchReader::Open(blob);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    SketchReader reader = std::move(opened).value();
-    EXPECT_TRUE(reader.structured());
-    EXPECT_EQ(reader.frame_kind(), SketchFrameKind::kStructuredF0);
-    EXPECT_TRUE(reader.structured_params() == params);
-    EXPECT_TRUE(reader.hashes_elided());
-    EXPECT_EQ(reader.num_units(), StructuredF0Rows(params));
-    int units = 0;
-    while (!reader.AtEnd()) {
-      auto unit = reader.Next();
-      ASSERT_TRUE(unit.ok()) << unit.status().ToString();
-      const bool expect_minimum =
-          algorithm == StructuredF0Algorithm::kMinimum;
-      EXPECT_EQ(std::holds_alternative<MinimumSketchRow>(unit.value()),
-                expect_minimum);
-      EXPECT_EQ(std::holds_alternative<StructuredBucketRow>(unit.value()),
-                !expect_minimum);
-      ++units;
-    }
-    EXPECT_EQ(units, StructuredF0Rows(params));
-  }
-}
+// ---- streaming merge -------------------------------------------------------
 
 TEST(StructuredSketchMergeTest, SplitDnfThenMergeEqualsSinglePass) {
   // Theorem 5 under map-reduce: split a DNF's terms across shards, merge
   // the shard sketches, and the result equals (byte for byte) the sketch
   // of a single pass over every term — in memory and through the
-  // bounded-memory streaming reducer alike.
+  // streaming reducer alike.
   for (const StructuredF0Algorithm algorithm : kBothAlgorithms) {
     const StructuredF0Params params = SmallParams(algorithm);
     const std::vector<Term> terms = MakeTerms(12, 24, 37);
@@ -353,8 +322,6 @@ TEST(StructuredSketchMergeTest, SplitDnfThenMergeEqualsSinglePass) {
     auto stats = MergeSketchStreams(sources, out);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(out.str(), SketchCodec::Encode(single));
-    EXPECT_LE(stats.value().max_resident_units, 2);
-    EXPECT_EQ(stats.value().units, StructuredF0Rows(params));
   }
 }
 
@@ -598,12 +565,16 @@ TEST(CanonicalEncodeTest, FreshAndDecodedSketchesEncodeWithZeroDraws) {
     EXPECT_EQ(TotalSamplerRowDraws(), before) << "encode-after-construct "
                                                  "re-ran the sampler";
 
-    // Elided decode re-derives hashes (draws) but attests canonicality,
-    // so the *re-encode* is draw-free again.
+    // Elided decode re-derives hashes, one draw per row (an Estimation
+    // draw yields the row's FM hash too, so nothing is replayed twice),
+    // and attests canonicality, so the *re-encode* is draw-free again.
+    const uint64_t before_decode = TotalSamplerRowDraws();
     Result<F0Estimator> decoded = SketchCodec::DecodeF0Estimator(blob);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_TRUE(decoded.value().hashes_canonical());
     const uint64_t after_decode = TotalSamplerRowDraws();
+    EXPECT_EQ(after_decode - before_decode,
+              static_cast<uint64_t>(F0Rows(params)));
     EXPECT_EQ(SketchCodec::Encode(decoded.value()), blob);
     EXPECT_EQ(TotalSamplerRowDraws(), after_decode)
         << "encode-after-canonical-decode re-ran the sampler";

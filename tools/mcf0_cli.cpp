@@ -58,7 +58,6 @@
 #include "engine/sharded_engine.hpp"
 #include "engine/sketch_codec.hpp"
 #include "engine/sketch_merge.hpp"
-#include "engine/sketch_reader.hpp"
 #include "formula/dimacs.hpp"
 #include "formula/formula.hpp"
 #include "net/client.hpp"
@@ -69,6 +68,12 @@
 
 namespace mcf0 {
 namespace {
+
+/// Widest structured (§5) universe any subcommand accepts, in bits. Past
+/// the codec's elision cap (wire::kMaxElidedStructuredUniverseBits) every
+/// row would embed a dense n x 3n hash, so a sketch file of one wide
+/// universe could run to hundreds of megabytes.
+constexpr int kMaxStructuredUniverseBits = 4096;
 
 constexpr const char kUsage[] = R"(mcf0 — model counting meets F0 estimation
 
@@ -97,11 +102,11 @@ subcommands:
           one. every input kind ingests across --shards worker threads
           fed by --producers threads (raw items are sharded by element,
           structured ones by item; the sketch is byte-identical however
-          ingestion is parallelized). merge streams its inputs row by row
-          (a SketchReader cursor per file), so decoded sketch state stays
-          bounded by one row no matter how many shard files are merged
-          (the raw bytes of each input file are still buffered); a bad
-          shard is reported by file name in that same single pass
+          ingestion is parallelized). merge decodes one input at a time
+          and folds it into the union, so decoded sketch state stays at
+          the union plus one input no matter how many shard files are
+          merged (the raw bytes of each input file are still buffered);
+          a bad shard is reported by file name in that same single pass
   serve   run a sketch service on TCP (docs/serve.md): remote `mcf0 push`
           clients stream items into one sharded engine over the v2 frame
           protocol, with credit-based flow control and live estimate /
@@ -704,6 +709,15 @@ StructuredF0Params StructuredParamsFromOptions(const CommonOptions& opts,
   return params;
 }
 
+/// Fails unless a `kind` input's universe of `bits` bits is within
+/// kMaxStructuredUniverseBits.
+void CheckUniverseOrDie(int64_t bits, const std::string& kind) {
+  if (bits > kMaxStructuredUniverseBits) {
+    Fail(kind + " universe exceeds " +
+         std::to_string(kMaxStructuredUniverseBits) + " bits");
+  }
+}
+
 /// `--input range` text format: comment lines (`c ...`), one
 /// `p range <dims> <bits_per_dim>` header, then one range item per line
 /// as `lo hi` pairs, one pair per dimension (inclusive bounds, each
@@ -728,9 +742,7 @@ std::vector<MultiDimRange> ParseRangeFileOrDie(const std::string& text,
       }
       // Bound before multiplying: a huge claimed dims must not overflow
       // the int product (UB) on its way to this check.
-      if (static_cast<int64_t>(dims) * bits > 4096) {
-        Fail("range universe exceeds 4096 total bits");
-      }
+      CheckUniverseOrDie(static_cast<int64_t>(dims) * bits, "range");
       have_header = true;
       continue;
     }
@@ -811,9 +823,7 @@ std::vector<StructuredItem> ParseAffineFileOrDie(const std::string& text,
       Fail("affine input needs `a <n> <rank>` item headers with "
            "1 <= rank <= n");
     }
-    // Same universe cap as ranges: the structured codec replays hashes
-    // only up to 4096-bit universes.
-    if (item_n > 4096) Fail("affine universe exceeds 4096 bits");
+    CheckUniverseOrDie(item_n, "affine");  // before the matrix is allocated
     if (n == 0) {
       n = item_n;
     } else if (item_n != n) {
@@ -835,26 +845,30 @@ std::vector<StructuredItem> ParseAffineFileOrDie(const std::string& text,
 }
 
 /// Reads a `--input dnf | range | affine` file as §5 stream items — one
-/// per DNF term, range or affine space — and its universe width n.
+/// per DNF term, range or affine space — and its universe width n, which
+/// must not exceed kMaxStructuredUniverseBits.
 std::vector<StructuredItem> ReadStructuredItemsOrDie(const std::string& kind,
                                                      const std::string& path,
                                                      int* n_out) {
   const std::string text = ReadInput(path);
-  if (kind == "affine") return ParseAffineFileOrDie(text, n_out);
   std::vector<StructuredItem> items;
-  if (kind == "dnf") {
+  if (kind == "affine") {
+    items = ParseAffineFileOrDie(text, n_out);
+  } else if (kind == "dnf") {
     const Dnf dnf = ParseDnfOrDie(text);
     *n_out = dnf.num_vars();
     for (const Term& term : dnf.terms()) {
       items.emplace_back(std::vector<Term>{term});
     }
-    return items;
+  } else {
+    int dims = 0;
+    int bits = 0;
+    std::vector<MultiDimRange> ranges =
+        ParseRangeFileOrDie(text, &dims, &bits);
+    *n_out = dims * bits;
+    for (MultiDimRange& range : ranges) items.emplace_back(std::move(range));
   }
-  int dims = 0;
-  int bits = 0;
-  std::vector<MultiDimRange> ranges = ParseRangeFileOrDie(text, &dims, &bits);
-  *n_out = dims * bits;
-  for (MultiDimRange& range : ranges) items.emplace_back(std::move(range));
+  CheckUniverseOrDie(*n_out, kind);
   return items;
 }
 
@@ -1005,14 +1019,14 @@ int RunSketchMerge(const CommonOptions& opts) {
   }
 
   WallTimer timer;
-  // Streaming reduce: the inputs are co-iterated row by row, so decoded
-  // sketch state never exceeds one accumulator row plus one in-flight
-  // row, regardless of how many shard files are being merged. (Raw file
-  // bytes are still buffered; see ROADMAP for the mmap follow-on.) Input
-  // labels ride through the engine, so a corrupt or mismatched shard is
-  // named in this same single pass. The merged frame stays in memory
-  // until the merge has succeeded, so a failed merge leaves --out as it
-  // was.
+  // Whole-sketch reduce: the inputs are decoded one at a time and folded
+  // into the union, so decoded sketch state never exceeds the union plus
+  // one input, regardless of how many shard files are being merged. (Raw
+  // file bytes are still buffered; see ROADMAP for the mmap follow-on.)
+  // Input labels ride through the engine, so a corrupt or mismatched
+  // shard is named in this same single pass. The merged frame stays in
+  // memory until the merge has succeeded, so a failed merge leaves --out
+  // as it was.
   std::vector<std::string> blobs;
   blobs.reserve(opts.inputs.size());
   for (const std::string& path : opts.inputs) {
@@ -1120,8 +1134,11 @@ int RunServe(const CommonOptions& opts) {
   std::optional<ShardedStructuredEngine> structured_engine;
   std::unique_ptr<net::EngineBackend> backend;
   if (structured) {
-    if (opts.n < 1 || opts.n > 4096) {
-      Fail("--n must be in [1, 4096] for structured serving", 2);
+    if (opts.n < 1 || opts.n > kMaxStructuredUniverseBits) {
+      Fail("--n must be in [1, " +
+               std::to_string(kMaxStructuredUniverseBits) +
+               "] for structured serving",
+           2);
     }
     const StructuredF0Params params =
         StructuredParamsFromOptions(opts, opts.n, "serve");
