@@ -188,8 +188,8 @@ Measured RunMultiProducer(const F0Params& params,
 
 // An F0Estimator wrapper whose first-built replica absorbs ~10x slower —
 // a hot replica or a noisy core. The factory is called once per shard in
-// construction order, so the first call tags exactly shard 0 (merge
-// targets built later stay fast).
+// construction order, so the first call tags exactly shard 0 (the cached
+// union, built later on the first query, stays fast).
 struct SlowShardSketch {
   F0Estimator inner;
   bool slow = false;

@@ -126,9 +126,10 @@ template <typename Sketch, typename Item>
 class ShardedEngine {
  public:
   /// Builds one shard replica. Called num_shards times at construction
-  /// and once per merge target; every call must produce sketches that are
-  /// mutually mergeable (in practice: construct from one shared params
-  /// value, so all replicas sample identical hash functions).
+  /// and once more, on the first query, for the cached union; every call
+  /// must produce sketches that are mutually mergeable (in practice:
+  /// construct from one shared params value, so all replicas sample
+  /// identical hash functions).
   using ReplicaFactory = std::function<Sketch()>;
 
   /// A single-threaded ingestion front end; see MakeProducer(). Handles
@@ -292,11 +293,11 @@ class ShardedEngine {
   }
 
   /// Flush + merge-on-query: the union of all shard replicas, exactly
-  /// the sketch a sequential pass over the same items would hold. The
-  /// result carries the hashes_canonical attestation (fresh replica,
-  /// Merge preserves it), so encoding it takes the codec's O(state)
-  /// seed-elided fast path. The underlying union is cached and
-  /// refreshed incrementally; see cache_rebuilds().
+  /// the sketch a sequential pass over the same items would hold. A copy
+  /// of the cached union, which is refreshed incrementally (see
+  /// cache_rebuilds()). It carries the hashes_canonical attestation (the
+  /// cache starts as a fresh replica and Merge preserves it), so
+  /// encoding it takes the codec's O(state) seed-elided fast path.
   Sketch MergedSketch() {
     Flush();
     return SnapshotSketch();
@@ -311,17 +312,14 @@ class ShardedEngine {
   }
 
   /// Merge-without-drain: the union of each shard's absorbed prefix,
-  /// without waiting for queued batches. Served by the same incremental
-  /// cache as Estimate(): a poll refolds only shards that absorbed
-  /// something since the last query (O(changed), and O(1) — no shard
-  /// lock at all — when ingestion is quiescent), so live dashboards can
-  /// poll while producers saturate the queue.
+  /// without waiting for queued batches. A copy of the same incremental
+  /// cache Estimate() reads: a poll refolds only shards that absorbed
+  /// something since the last query (O(changed), and no shard lock at
+  /// all when ingestion is quiescent), so live dashboards can poll while
+  /// producers saturate the queue.
   Sketch SnapshotSketch() {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    const Sketch& cached = RefreshCacheLocked();
-    Sketch out = factory_();
-    MergeOrDie(out, cached);
-    return out;
+    return RefreshCacheLocked();
   }
 
   /// SnapshotSketch().Estimate() without materializing a copy.

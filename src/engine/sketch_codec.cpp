@@ -1,7 +1,6 @@
 #include "engine/sketch_codec.hpp"
 
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -132,9 +131,10 @@ std::string SketchCodec::Encode(const F0Estimator& est) {
         wire::EncodeMinimumPayload(w, row, !elide);
       }
       break;
-    case F0Algorithm::kEstimation:
-      w.Varint(static_cast<uint64_t>(est.field()->degree()));
-      w.U64(est.field()->modulus_low());
+    case F0Algorithm::kEstimation: {
+      const Gf2Field& field = Gf2Field::Of(est.params().n);
+      w.Varint(static_cast<uint64_t>(field.degree()));
+      w.U64(field.modulus_low());
       w.Varint(est.estimation_rows().size());
       for (const auto& row : est.estimation_rows()) {
         wire::EncodeEstimationPayload(w, row, !elide);
@@ -144,18 +144,16 @@ std::string SketchCodec::Encode(const F0Estimator& est) {
         wire::EncodeFmPayload(w, row, !elide);
       }
       break;
+    }
   }
   return wire::WrapFrame(SketchFrameKind::kF0Estimator, kFormatV2, w.Take());
 }
 
 Result<uint16_t> SketchCodec::PeekFormatVersion(std::string_view bytes) {
-  if (bytes.size() < 6 || bytes.substr(0, 4) != "MCF0") {
-    return Status::ParseError("bad magic: not an mcf0 sketch blob");
-  }
-  wire::ByteReader r(bytes.substr(4, 2));
-  uint16_t version = 0;
-  r.U16(&version);
-  return version;
+  wire::FrameHeader header;
+  const Status status = wire::ParseFrameHeader(bytes, &header);
+  if (!status.ok()) return status;
+  return header.version;
 }
 
 Result<F0Estimator> SketchCodec::DecodeF0Estimator(std::string_view bytes) {
@@ -221,9 +219,8 @@ Result<F0Estimator> SketchCodec::DecodeF0Estimator(std::string_view bytes) {
       if (degree != static_cast<uint64_t>(params.n)) {
         return Status::ParseError("estimation field degree differs from n");
       }
-      parts.field = std::make_unique<Gf2Field>(params.n);
-      const Gf2Field* field = parts.field.get();
-      if (field->modulus_low() != modulus_low) {
+      const Gf2Field& field = Gf2Field::Of(params.n);
+      if (field.modulus_low() != modulus_low) {
         // The modulus search is deterministic per degree; a mismatch means
         // the blob came from an incompatible implementation.
         return Status::NotSupported(
@@ -254,13 +251,13 @@ Result<F0Estimator> SketchCodec::DecodeF0Estimator(std::string_view bytes) {
         // row instead of copying thresh * s coefficients.
         std::optional<std::vector<PolynomialHash>> hashes;
         if (elided) {
-          auto pair = sampler->NextEstimationPair(field);
+          auto pair = sampler->NextEstimationPair();
           hashes = std::move(pair.first).TakeHashes();
           sampled_fm.push_back(std::move(pair.second));
         }
         std::optional<EstimationSketchRow> row;
         status = wire::DecodeEstimationPayload(
-            r, version, *field, hashes ? &*hashes : nullptr, &row);
+            r, version, field, hashes ? &*hashes : nullptr, &row);
         if (!status.ok()) break;
         // Thresh cells, each hash drawn with s coefficients.
         bool fits = row->cells().size() == thresh;

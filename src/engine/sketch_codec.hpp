@@ -73,8 +73,9 @@ class SketchCodec {
   static Result<F0Estimator> DecodeF0Estimator(std::string_view bytes);
   static Result<StructuredF0> DecodeStructuredF0(std::string_view bytes);
 
-  /// The wire format version a frame claims, from the first six header
-  /// bytes (magic checked; payload untouched — O(1), unlike a decode).
+  /// The wire format version a frame claims, from its whole 24-byte
+  /// header (magic and reserved byte checked; payload untouched — O(1),
+  /// unlike a decode).
   static Result<uint16_t> PeekFormatVersion(std::string_view bytes);
 };
 

@@ -309,47 +309,30 @@ Status CheckFramePayload(const FrameHeader& header, std::string_view payload) {
 
 Result<std::string_view> UnwrapFrame(std::string_view bytes,
                                      SketchFrameKind want, uint16_t* version) {
-  if (bytes.size() < kHeaderBytes) return Truncated("frame header");
-  ByteReader reader(bytes.substr(0, kHeaderBytes));
-  for (const char expect : kMagic) {
-    uint8_t got = 0;
-    reader.U8(&got);
-    if (got != static_cast<uint8_t>(expect)) {
-      return Status::ParseError("bad magic: not an mcf0 sketch blob");
-    }
-  }
-  uint8_t kind = 0;
-  uint8_t reserved = 0;
-  uint64_t payload_size = 0;
-  uint64_t checksum = 0;
-  reader.U16(version);
-  reader.U8(&kind);
-  reader.U8(&reserved);
-  reader.U64(&payload_size);
-  reader.U64(&checksum);
-  if (*version != SketchCodec::kFormatV1 &&
-      *version != SketchCodec::kFormatV2) {
+  FrameHeader header;
+  Status status = ParseFrameHeader(bytes, &header);
+  if (!status.ok()) return status;
+  *version = header.version;
+  if (header.version != SketchCodec::kFormatV1 &&
+      header.version != SketchCodec::kFormatV2) {
     return Status::NotSupported(
-        "sketch format version " + std::to_string(*version) +
+        "sketch format version " + std::to_string(header.version) +
         " (this build reads " + std::to_string(SketchCodec::kFormatV1) +
         " and " + std::to_string(SketchCodec::kFormatV2) + ")");
   }
-  if (kind != static_cast<uint8_t>(want)) {
-    return Status::InvalidArgument("sketch frame kind " + std::to_string(kind) +
+  if (header.kind != static_cast<uint8_t>(want)) {
+    return Status::InvalidArgument("sketch frame kind " +
+                                   std::to_string(header.kind) +
                                    " does not match the requested object");
   }
-  if (reserved != 0) {
-    return Status::ParseError("nonzero reserved byte in sketch header");
-  }
-  if (payload_size != bytes.size() - kHeaderBytes) {
-    return payload_size > bytes.size() - kHeaderBytes
-               ? Truncated("frame payload")
-               : Status::ParseError("trailing bytes after sketch payload");
-  }
   const std::string_view payload = bytes.substr(kHeaderBytes);
-  if (Fnv1a64(payload) != checksum) {
-    return Status::ParseError("sketch payload checksum mismatch (corrupt)");
+  if (header.payload_size != payload.size()) {
+    return header.payload_size > payload.size()
+               ? Truncated("frame payload")
+               : Status::ParseError("trailing bytes after frame payload");
   }
+  status = CheckFramePayload(header, payload);
+  if (!status.ok()) return status;
   return payload;
 }
 
@@ -892,7 +875,7 @@ Status DecodeEstimationPayload(ByteReader& r, uint16_t version,
     Status status = UnpackCells(r, num_cells, cell_bits, degree, &cells);
     if (!status.ok()) return status;
   }
-  out->emplace(&field, std::move(hashes), std::move(cells));
+  out->emplace(std::move(hashes), std::move(cells));
   return Status::Ok();
 }
 
@@ -1079,8 +1062,7 @@ bool HashesMatchCanonicalSample(const F0Estimator& est) {
       return true;
     case F0Algorithm::kEstimation:
       for (size_t i = 0; i < est.estimation_rows().size(); ++i) {
-        const auto [sampled_est, sampled_fm] =
-            sampler.NextEstimationPair(est.field());
+        const auto [sampled_est, sampled_fm] = sampler.NextEstimationPair();
         if (!(est.estimation_rows()[i].hashes() == sampled_est.hashes()) ||
             !same(est.fm_rows()[i].hash(), sampled_fm.hash())) {
           return false;

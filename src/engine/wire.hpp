@@ -171,8 +171,9 @@ Status ParseFrameHeader(std::string_view bytes, FrameHeader* out);
 /// header's FNV-1a-64 checksum.
 Status CheckFramePayload(const FrameHeader& header, std::string_view payload);
 
-/// Validates header, kind, length, and checksum; accepts any version the
-/// library reads (v1 and v2) and reports which via `version`.
+/// ParseFrameHeader, then the sketch policy (a version the library reads,
+/// v1 or v2, reported via `version`; the kind `want`), then the length
+/// and CheckFramePayload.
 Result<std::string_view> UnwrapFrame(std::string_view bytes,
                                      SketchFrameKind want, uint16_t* version);
 
@@ -218,7 +219,8 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
 void EncodeEstimationPayload(ByteWriter& w, const EstimationSketchRow& row,
                              bool embed_hash);
 /// `field` supplies GF(2^w) arithmetic for the decoded hashes and must
-/// outlive the row. `elided`, when non-null, supplies the replayed hashes
+/// outlive the row; the codec passes the interned Gf2Field::Of(n), which
+/// lives forever. `elided`, when non-null, supplies the replayed hashes
 /// and is moved from (the caller's replay row is a temporary anyway).
 /// Rows without hashes are rejected: estimator rows always carry them.
 Status DecodeEstimationPayload(ByteReader& r, uint16_t version,

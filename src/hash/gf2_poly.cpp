@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <mutex>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "hash/gf2_kernels.hpp"
@@ -114,8 +115,8 @@ bool Gf2Field::IsIrreducible(uint64_t poly_low, int degree) {
 
 namespace {
 
-/// One actual irreducibility scan for degree w. Counted so the
-/// per-degree cache below can be pinned to "one scan per degree, ever"
+/// One actual irreducibility scan for degree w. Counted so the interned
+/// fields below can be pinned to "one scan per degree, ever"
 /// (tests/gf2_poly_test.cpp).
 uint64_t ScanForModulusLow(int w) {
   static obs::Counter* scans =
@@ -130,27 +131,31 @@ uint64_t ScanForModulusLow(int w) {
   }
 }
 
-/// Memoized modulus per degree: decode/replay paths rebuild fields for
-/// the same w over and over, and the scan is the expensive part of
-/// construction. call_once keeps it thread-safe and at-most-once.
-uint64_t CachedModulusLow(int w) {
-  struct Slot {
-    std::once_flag once;
-    uint64_t low = 0;
-  };
-  static std::array<Slot, 65> slots;  // indexed by w in [1, 64]
-  Slot& slot = slots[static_cast<size_t>(w)];
-  std::call_once(slot.once, [&slot, w] { slot.low = ScanForModulusLow(w); });
-  return slot.low;
-}
-
 }  // namespace
 
-Gf2Field::Gf2Field(int w) : w_(w) {
+const Gf2Field& Gf2Field::Of(int w) {
   MCF0_CHECK(w >= 1 && w <= 64);
-  mask_ = (w == 64) ? ~0ull : ((1ull << w) - 1);
-  mod_low_ = CachedModulusLow(w);
+  struct Slot {
+    std::once_flag once;
+    std::optional<Gf2Field> field;
+  };
+  // Indexed by w in [1, 64]. Never destroyed, so a hash in a sketch of
+  // static storage duration never dangles at exit. call_once keeps each
+  // scan thread-safe and at-most-once.
+  static auto& slots = *new std::array<Slot, 65>();
+  Slot& slot = slots[static_cast<size_t>(w)];
+  std::call_once(slot.once, [&slot, w] {
+    slot.field = Gf2Field(w, ScanForModulusLow(w));
+  });
+  return *slot.field;
 }
+
+Gf2Field::Gf2Field(int w) : Gf2Field(Of(w)) {}
+
+Gf2Field::Gf2Field(int w, uint64_t mod_low)
+    : w_(w),
+      mod_low_(mod_low),
+      mask_((w == 64) ? ~0ull : ((1ull << w) - 1)) {}
 
 uint64_t Gf2Field::Mul(uint64_t a, uint64_t b) const {
   MCF0_DCHECK((a & ~mask_) == 0 && (b & ~mask_) == 0);

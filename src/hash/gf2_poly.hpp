@@ -3,9 +3,10 @@
 /// polynomial hash family H_{s-wise}(w, w) used by the Estimation sketch.
 ///
 /// Field elements are uint64 coefficient masks (bit i = coefficient of x^i).
-/// The modulus is found at construction by scanning for an irreducible
-/// polynomial of degree w, verified with Rabin's irreducibility test — no
-/// hard-coded tables, so every w in [1, 64] works.
+/// The modulus is found by scanning for an irreducible polynomial of
+/// degree w, verified with Rabin's irreducibility test — no hard-coded
+/// tables, so every w in [1, 64] works — once per degree per process
+/// (Gf2Field::Of).
 #pragma once
 
 #include <cstdint>
@@ -21,11 +22,15 @@ class Rng;
 /// The finite field GF(2^w).
 class Gf2Field {
  public:
-  /// Constructs GF(2^w). The lexicographically smallest irreducible
-  /// modulus of degree w is found by a scan (O(w^4 / 64)) the first time
-  /// any field of that degree is built in the process; later
-  /// constructions hit a per-degree cache. Scans are counted by the
+  /// The process's one GF(2^w), w in [1, 64]: immutable and never
+  /// destroyed, so hashes (and the sketches holding them) point at it and
+  /// stay copyable. The first call for a degree scans for the smallest
+  /// irreducible modulus (O(w^4 / 64)), counted by the
   /// `mcf0_gf2_modulus_scans_total` metric (at most 64 per process).
+  /// Thread-safe.
+  static const Gf2Field& Of(int w);
+
+  /// A copy of Of(w).
   explicit Gf2Field(int w);
 
   int degree() const { return w_; }
@@ -48,6 +53,8 @@ class Gf2Field {
   static bool IsIrreducible(uint64_t poly_low, int degree);
 
  private:
+  Gf2Field(int w, uint64_t mod_low);
+
   int w_;
   uint64_t mod_low_;
   uint64_t mask_;  // low w bits
@@ -84,15 +91,16 @@ class PolynomialHash {
   /// by the sketch codec (src/engine) to serialize Estimation rows.
   const std::vector<uint64_t>& coeffs() const { return coeffs_; }
 
-  /// Same polynomial over the same field degree. (Field pointers may differ
-  /// across deserialized copies; the modulus search is deterministic per
-  /// degree, so degree equality implies the same field.)
+  /// Same polynomial over the same field degree. (A hash built over a
+  /// field of its own, rather than Gf2Field::Of, holds a different
+  /// pointer; the modulus search is deterministic per degree, so degree
+  /// equality implies the same field.)
   bool operator==(const PolynomialHash& o) const {
     return field_->degree() == o.field_->degree() && coeffs_ == o.coeffs_;
   }
 
  private:
-  const Gf2Field* field_;            // not owned
+  const Gf2Field* field_;  // not owned; usually Gf2Field::Of(degree)
   std::vector<uint64_t> coeffs_;
 };
 

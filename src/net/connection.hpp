@@ -51,7 +51,7 @@ class EngineBackend {
   virtual StreamKind kind() const = 0;
   virtual std::variant<F0Params, StructuredF0Params> params() const = 0;
   /// Universe width n — the validation bound for structured item
-  /// decoding (64 for raw streams, where Add masks instead).
+  /// decoding. Raw words are not checked: sketches read their low n bits.
   virtual int universe_bits() const = 0;
 
   virtual std::unique_ptr<ProducerHandle> MakeProducer() = 0;

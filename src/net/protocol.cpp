@@ -239,12 +239,11 @@ Status DecodeStructuredItem(ByteReader& r, int n, StructuredItem* out) {
             !r.Varint(&step)) {
           return Malformed("truncated structured item");
         }
-        if (dim_bits < 1 || dim_bits > 64) {
+        if (dim_bits < 1 ||
+            dim_bits > static_cast<uint64_t>(kMaxRangeDimensionBits)) {
           return Malformed("structured range dimension width out of range");
         }
-        const uint64_t max =
-            dim_bits == 64 ? ~0ull : ((1ull << dim_bits) - 1);
-        if (lo > hi || hi > max) {
+        if (lo > hi || hi > (1ull << dim_bits) - 1) {
           return Malformed("structured range bounds out of order or domain");
         }
         if (step >= dim_bits) {

@@ -10,7 +10,7 @@ MultiDimRange::MultiDimRange(int dims, int bits_per_dim)
 MultiDimRange::MultiDimRange(std::vector<int> bits_per_dim)
     : bits_(std::move(bits_per_dim)) {
   MCF0_CHECK(!bits_.empty());
-  for (const int b : bits_) MCF0_CHECK(b >= 1 && b <= 62);
+  for (const int b : bits_) MCF0_CHECK(b >= 1 && b <= kMaxRangeDimensionBits);
   dims_.resize(bits_.size());
   for (size_t j = 0; j < bits_.size(); ++j) {
     dims_[j] = DimRange{0, (1ull << bits_[j]) - 1, 0};

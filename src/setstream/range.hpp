@@ -17,6 +17,12 @@ namespace mcf0 {
 
 class Rng;
 
+/// Widest dimension a range item may have, in bits. Every consumer
+/// (MultiDimRange, RangeDimensionTerms, the CLI range parser, the serve
+/// protocol's item decoder) enforces this one bound, so an input that is
+/// too wide is refused where it is parsed instead of aborting later.
+inline constexpr int kMaxRangeDimensionBits = 62;
+
 /// One dimension: the inclusive range [lo, hi] with a power-of-two step.
 struct DimRange {
   uint64_t lo = 0;

@@ -33,7 +33,7 @@ void EmitCube(uint64_t base, int free_bits, int nbits, int var_offset,
 
 std::vector<Term> RangeDimensionTerms(uint64_t lo, uint64_t hi, int log2_step,
                                       int nbits, int var_offset) {
-  MCF0_CHECK(nbits >= 1 && nbits <= 62);
+  MCF0_CHECK(nbits >= 1 && nbits <= kMaxRangeDimensionBits);
   MCF0_CHECK(lo <= hi && hi < (1ull << nbits));
   MCF0_CHECK(log2_step >= 0 && log2_step < nbits);
   std::vector<Term> terms;

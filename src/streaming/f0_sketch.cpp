@@ -41,6 +41,7 @@ bool BucketingSketchRow::InCell(uint64_t x, int level) const {
 }
 
 void BucketingSketchRow::Add(uint64_t x) {
+  if (n_ < 64) x &= (1ull << n_) - 1;  // the universe is {0,1}^n
   if (!InCell(x, level_)) return;
   bucket_.insert(x);
   while (bucket_.size() > thresh_ && level_ < n_) {
@@ -122,33 +123,30 @@ size_t MinimumSketchRow::SpaceBits() const {
 // ---- EstimationSketchRow ------------------------------------------------
 
 EstimationSketchRow::EstimationSketchRow(const Gf2Field* field, int num_cols,
-                                         int s, Rng& rng)
-    : field_(field) {
+                                         int s, Rng& rng) {
   MCF0_CHECK(num_cols >= 1 && s >= 1);
   hashes_.reserve(num_cols);
   for (int j = 0; j < num_cols; ++j) {
-    hashes_.push_back(PolynomialHash::Sample(field_, s, rng));
+    hashes_.push_back(PolynomialHash::Sample(field, s, rng));
   }
   cells_.assign(num_cols, 0);
 }
 
-EstimationSketchRow::EstimationSketchRow(int num_cols) : field_(nullptr) {
+EstimationSketchRow::EstimationSketchRow(int num_cols) {
   MCF0_CHECK(num_cols >= 1);
   cells_.assign(num_cols, 0);
 }
 
-EstimationSketchRow::EstimationSketchRow(const Gf2Field* field,
-                                         std::vector<PolynomialHash> hashes,
+EstimationSketchRow::EstimationSketchRow(std::vector<PolynomialHash> hashes,
                                          std::vector<int> cells)
-    : field_(field), hashes_(std::move(hashes)), cells_(std::move(cells)) {
+    : hashes_(std::move(hashes)), cells_(std::move(cells)) {
   MCF0_CHECK(!cells_.empty());
   MCF0_CHECK(hashes_.empty() || hashes_.size() == cells_.size());
-  MCF0_CHECK(hashes_.empty() || field_ != nullptr);
 }
 
 void EstimationSketchRow::Add(uint64_t x) {
-  MCF0_CHECK(field_ != nullptr);  // cells-only rows are Merge-fed
-  const int w = field_->degree();
+  MCF0_CHECK(!hashes_.empty());  // cells-only rows are Merge-fed
+  const int w = hashes_.front().field_degree();
   for (size_t j = 0; j < hashes_.size(); ++j) {
     const int t = TrailZero64(hashes_[j].Eval(x), w);
     if (t > cells_[j]) cells_[j] = t;
@@ -156,8 +154,8 @@ void EstimationSketchRow::Add(uint64_t x) {
 }
 
 void EstimationSketchRow::Add(std::span<const uint64_t> xs) {
-  MCF0_CHECK(field_ != nullptr);  // cells-only rows are Merge-fed
-  const int w = field_->degree();
+  MCF0_CHECK(!hashes_.empty());  // cells-only rows are Merge-fed
+  const int w = hashes_.front().field_degree();
   // Per-hash Horner over a block: coefficients, modulus, and kernel
   // dispatch amortize across the block; 256 elements keeps the scratch
   // on the stack.
@@ -199,8 +197,9 @@ double EstimationSketchRow::EstimateWithR(int r) const {
 size_t EstimationSketchRow::SpaceBits() const {
   // Each cell stores a value in [0, w]: ceil(log2(w+1)) bits; each hash
   // needs s field elements of w bits.
-  const size_t w =
-      field_ != nullptr ? static_cast<size_t>(field_->degree()) : 64;
+  const size_t w = hashes_.empty()
+                       ? 64
+                       : static_cast<size_t>(hashes_.front().field_degree());
   size_t cell_bits = 1;
   while ((1ull << cell_bits) < w + 1) ++cell_bits;
   size_t hash_bits = 0;
@@ -296,14 +295,14 @@ MinimumSketchRow F0RowSampler::NextMinimumRow() {
 }
 
 std::pair<EstimationSketchRow, FlajoletMartinRow>
-F0RowSampler::NextEstimationPair(const Gf2Field* field) {
+F0RowSampler::NextEstimationPair() {
   MCF0_CHECK(params_.algorithm == F0Algorithm::kEstimation);
-  MCF0_CHECK(field != nullptr && field->degree() == params_.n);
   internal::BumpSamplerRowDraws();
   // Draw order matches the historical constructor: the Estimation row's
   // polynomial hashes, then the paired FM row's affine hash. Changing this
   // order would silently re-key every seed-elided v2 sketch file.
-  EstimationSketchRow est(field, static_cast<int>(thresh_), s_, rng_);
+  EstimationSketchRow est(&Gf2Field::Of(params_.n), static_cast<int>(thresh_),
+                          s_, rng_);
   FlajoletMartinRow fm(params_.n, rng_);
   return {std::move(est), std::move(fm)};
 }
@@ -326,24 +325,19 @@ F0Estimator::F0Estimator(const F0Params& params)
         minimum_rows_.push_back(sampler.NextMinimumRow());
       }
       break;
-    case F0Algorithm::kEstimation: {
-      field_ = std::make_unique<Gf2Field>(params.n);
+    case F0Algorithm::kEstimation:
       for (int i = 0; i < rows; ++i) {
-        auto [est, fm] = sampler.NextEstimationPair(field_.get());
+        auto [est, fm] = sampler.NextEstimationPair();
         estimation_rows_.push_back(std::move(est));
         fm_rows_.push_back(std::move(fm));
       }
       break;
-    }
   }
 }
-
-F0Estimator::~F0Estimator() = default;
 
 F0Estimator::Parts F0Estimator::ReleaseParts() && {
   Parts parts;
   parts.params = params_;
-  parts.field = std::move(field_);
   parts.bucketing = std::move(bucketing_rows_);
   parts.minimum = std::move(minimum_rows_);
   parts.estimation = std::move(estimation_rows_);
@@ -366,12 +360,10 @@ F0Estimator F0Estimator::FromParts(Parts parts) {
     case F0Algorithm::kEstimation:
       MCF0_CHECK(parts.estimation.size() == rows && parts.fm.size() == rows &&
                  parts.bucketing.empty() && parts.minimum.empty());
-      MCF0_CHECK(parts.field != nullptr);
       break;
   }
   F0Estimator est;
   est.params_ = parts.params;
-  est.field_ = std::move(parts.field);
   est.bucketing_rows_ = std::move(parts.bucketing);
   est.minimum_rows_ = std::move(parts.minimum);
   est.estimation_rows_ = std::move(parts.estimation);

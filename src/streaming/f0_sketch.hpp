@@ -13,14 +13,14 @@
 ///   Minimum:    S[i] = Thresh lexicographically smallest values of h(a)
 ///   Estimation: S[i][j] = max trailing zeros of H[i][j](a)
 ///
-/// Streams deliver 64-bit elements from the universe {0,1}^n (n <= 64).
+/// Streams deliver 64-bit words; every row reads a word by its low n bits,
+/// its element of the universe {0,1}^n (n <= 64).
 /// Every sketch exposes SpaceBits() so the space experiments (E2) report
 /// actual sketch footprints rather than asymptotics.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <span>
 #include <unordered_set>
@@ -121,7 +121,8 @@ class MinimumSketchRow {
 /// stores the maximum trailing-zero count seen under hash j.
 class EstimationSketchRow {
  public:
-  /// `field` supplies GF(2^n) arithmetic and must outlive the row.
+  /// `field` supplies GF(2^n) arithmetic and must outlive the row (the
+  /// sampler passes the interned Gf2Field::Of(n), which lives forever).
   EstimationSketchRow(const Gf2Field* field, int num_cols, int s, Rng& rng);
 
   /// Cells-only row with no hash functions of its own — the
@@ -131,10 +132,9 @@ class EstimationSketchRow {
   explicit EstimationSketchRow(int num_cols);
 
   /// Rebuilds a row from explicit hash + cell state (the engine entry
-  /// point). `field` must outlive the row and match the hashes' field;
-  /// hashes may be empty for a cells-only row (then field may be null).
-  EstimationSketchRow(const Gf2Field* field,
-                      std::vector<PolynomialHash> hashes,
+  /// point). The hashes share one field, which must outlive the row;
+  /// they may be empty for a cells-only row.
+  EstimationSketchRow(std::vector<PolynomialHash> hashes,
                       std::vector<int> cells);
 
   void Add(uint64_t x);
@@ -162,7 +162,6 @@ class EstimationSketchRow {
   size_t SpaceBits() const;
 
  private:
-  const Gf2Field* field_;
   std::vector<PolynomialHash> hashes_;
   std::vector<int> cells_;
 };
@@ -251,13 +250,11 @@ class F0RowSampler {
 
   /// Fresh (empty) rows with the next sampled hash state. Which getter is
   /// valid follows params.algorithm; Estimation draws interleave one
-  /// Estimation row and one FM row per driver row, in that order.
+  /// Estimation row and one FM row per driver row, in that order, and
+  /// the Estimation row's hashes compute in Gf2Field::Of(params.n).
   BucketingSketchRow NextBucketingRow();
   MinimumSketchRow NextMinimumRow();
-  /// `field` supplies GF(2^n) arithmetic for the row's hashes and must
-  /// outlive the returned row.
-  std::pair<EstimationSketchRow, FlajoletMartinRow> NextEstimationPair(
-      const Gf2Field* field);
+  std::pair<EstimationSketchRow, FlajoletMartinRow> NextEstimationPair();
 
  private:
   F0Params params_;
@@ -270,6 +267,8 @@ class F0RowSampler {
 /// of row estimates. For Estimation, FM rows run in parallel to supply r
 /// (§3.4), with r = round(log2(10 * F̂_FM)) placing 2^r near the middle of
 /// the validity window [2 F0, 50 F0].
+/// A plain copyable value: its Estimation hashes point at the interned
+/// Gf2Field::Of(n), which every copy shares.
 class F0Estimator {
  public:
   /// The sealed mutation exchange. An estimator never hands out mutable
@@ -297,7 +296,6 @@ class F0Estimator {
     Parts& operator=(const Parts&) = delete;
 
     F0Params params;
-    std::unique_ptr<Gf2Field> field;  // Estimation only
     std::vector<BucketingSketchRow> bucketing;
     std::vector<MinimumSketchRow> minimum;
     std::vector<EstimationSketchRow> estimation;
@@ -310,10 +308,6 @@ class F0Estimator {
   };
 
   explicit F0Estimator(const F0Params& params);
-  ~F0Estimator();
-
-  F0Estimator(F0Estimator&&) = default;
-  F0Estimator& operator=(F0Estimator&&) = default;
 
   /// Moves the entire state out, consuming the estimator (it is left
   /// moved-from: destroy or assign only). The returned bundle is the only
@@ -323,9 +317,8 @@ class F0Estimator {
   /// Rebuilds an estimator from a state bundle — the engine entry point
   /// (src/engine/sketch_codec decode, sketch_merge row exchange). Exactly
   /// the row vectors matching `parts.params.algorithm` may be non-empty
-  /// and must hold the row count the parameters imply; for Estimation,
-  /// `parts.field` owns the GF(2^n) arithmetic the rows' hashes point
-  /// into. `parts.hashes_canonical` is trusted (see Parts).
+  /// and must hold the row count the parameters imply.
+  /// `parts.hashes_canonical` is trusted (see Parts).
   static F0Estimator FromParts(Parts parts);
 
   void Add(uint64_t x);
@@ -352,7 +345,6 @@ class F0Estimator {
   /// Engine read access (src/engine): SketchCodec serializes row state,
   /// Merge() unions replicas row-by-row. Other callers should treat rows
   /// as opaque; mutation goes through the Parts exchange above.
-  const Gf2Field* field() const { return field_.get(); }
   const std::vector<BucketingSketchRow>& bucketing_rows() const {
     return bucketing_rows_;
   }
@@ -373,7 +365,6 @@ class F0Estimator {
   F0Estimator() = default;
 
   F0Params params_;
-  std::unique_ptr<Gf2Field> field_;  // Estimation only
   std::vector<BucketingSketchRow> bucketing_rows_;
   std::vector<MinimumSketchRow> minimum_rows_;
   std::vector<EstimationSketchRow> estimation_rows_;

@@ -614,6 +614,16 @@ TEST(CliTest, StructuredSketchUsageErrors) {
                    " 2>/dev/null")
                 .exit_code,
             1);
+  // Range dimensions wider than 62 bits are refused at the header.
+  for (const char* header : {"p range 1 63\n", "p range 1 64\n"}) {
+    const std::string wide_range =
+        WriteFixture("wide_range.txt", std::string(header) + "0 5\n");
+    EXPECT_EQ(RunCli("sketch build --input range --out x.mcf0 " + wide_range +
+                     " 2>/dev/null")
+                  .exit_code,
+              1)
+        << header;
+  }
   // Affine parse errors are runtime failures, not aborts: missing item
   // header, truncated matrix, wrong row width, mismatched n.
   for (const char* bad : {"1000\n0\n",                    // no `a` header

@@ -212,11 +212,15 @@ TEST(ShardedEngineCacheTest, RepeatedQueriesFoldTheShardsOnce) {
   for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(engine.Estimate(), first);
   EXPECT_EQ(engine.cache_rebuilds(), 1u);  // cache hit: no re-merge
 
-  // MergedSketch() reads the same cache (one extra fold for the returned
-  // copy, not a rebuild).
+  // MergedSketch() and SnapshotSketch() copy the same cache: no rebuild,
+  // and no fresh replica sampled to hold the copy.
+  const uint64_t draws_before = TotalSamplerRowDraws();
   F0Estimator merged = engine.MergedSketch();
+  F0Estimator snapshot = engine.SnapshotSketch();
+  EXPECT_EQ(TotalSamplerRowDraws() - draws_before, 0u);
   EXPECT_EQ(engine.cache_rebuilds(), 1u);
   EXPECT_DOUBLE_EQ(merged.Estimate(), first);
+  EXPECT_EQ(SketchCodec::Encode(snapshot), SketchCodec::Encode(merged));
 
   // Ingestion invalidates: the next query re-merges and sees the element.
   // Only one shard absorbed anything new, so the refresh is partial — it
@@ -392,8 +396,8 @@ TEST(MultiProducerEngineTest, ProducerFlushIgnoresLaterInFlightBatch) {
 // deterministic skewed-replica scenario. The slowness lives in the test
 // type, not the engine, so the shared queue is exercised against the
 // unchanged union guarantee. The factory is called once per shard in
-// construction order (then once per merge target), so tagging the first
-// call slows exactly shard 0. `slow_items` counts what that replica
+// construction order (then once for the cached union), so tagging the
+// first call slows exactly shard 0. `slow_items` counts what that replica
 // absorbed; Merge keeps the max, so cache refolds leave it exact.
 struct SlowShardSketch {
   F0Estimator inner;
@@ -718,8 +722,11 @@ TEST(ShardedStructuredEngineTest, SnapshotDuringIngestionConverges) {
   producer.Flush();
   done.store(true, std::memory_order_release);
   querier.join();
-  EXPECT_EQ(SketchCodec::Encode(engine.MergedSketch()),
-            SketchCodec::Encode(single));
+  // The drained sketch is a copy of the cached union: no replica drawn.
+  const uint64_t draws_before = TotalSamplerRowDraws();
+  const StructuredF0 merged = engine.MergedSketch();
+  EXPECT_EQ(TotalSamplerRowDraws() - draws_before, 0u);
+  EXPECT_EQ(SketchCodec::Encode(merged), SketchCodec::Encode(single));
 }
 
 }  // namespace

@@ -51,13 +51,6 @@ std::vector<uint64_t> RandomStream(size_t length, uint64_t support,
   return xs;
 }
 
-F0Estimator Clone(const F0Estimator& est) {
-  Result<F0Estimator> decoded =
-      SketchCodec::DecodeF0Estimator(SketchCodec::Encode(est));
-  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
-  return std::move(decoded).value();
-}
-
 // Sketch files hold whole sketches only, so row-level cases run the
 // payload codecs directly: v2 bytes with the row's hash embedded.
 std::string RowBytes(const BucketingSketchRow& row) {
@@ -626,9 +619,9 @@ TEST(SketchMergeTest, MergeIsCommutative) {
     for (const uint64_t x : RandomStream(400, 250, 31)) a.Add(x);
     for (const uint64_t x : RandomStream(400, 250, 32)) b.Add(x);
 
-    F0Estimator ab = Clone(a);
+    F0Estimator ab = a;
     ASSERT_TRUE(Merge(ab, b).ok());
-    F0Estimator ba = Clone(b);
+    F0Estimator ba = b;
     ASSERT_TRUE(Merge(ba, a).ok());
     EXPECT_EQ(SketchCodec::Encode(ab), SketchCodec::Encode(ba));
   }
@@ -644,13 +637,13 @@ TEST(SketchMergeTest, MergeIsAssociative) {
     for (const uint64_t x : RandomStream(300, 200, 42)) b.Add(x);
     for (const uint64_t x : RandomStream(300, 200, 43)) c.Add(x);
 
-    F0Estimator left = Clone(a);  // (a ∪ b) ∪ c
+    F0Estimator left = a;  // (a ∪ b) ∪ c
     ASSERT_TRUE(Merge(left, b).ok());
     ASSERT_TRUE(Merge(left, c).ok());
 
-    F0Estimator bc = Clone(b);  // a ∪ (b ∪ c)
+    F0Estimator bc = b;  // a ∪ (b ∪ c)
     ASSERT_TRUE(Merge(bc, c).ok());
-    F0Estimator right = Clone(a);
+    F0Estimator right = a;
     ASSERT_TRUE(Merge(right, bc).ok());
 
     EXPECT_EQ(SketchCodec::Encode(left), SketchCodec::Encode(right));
@@ -662,7 +655,7 @@ TEST(SketchMergeTest, MergeIsIdempotent) {
   for (const F0Algorithm algorithm : kAllAlgorithms) {
     F0Estimator a(SmallParams(algorithm));
     for (const uint64_t x : RandomStream(400, 250, 51)) a.Add(x);
-    F0Estimator aa = Clone(a);
+    F0Estimator aa = a;
     ASSERT_TRUE(Merge(aa, a).ok());
     EXPECT_EQ(SketchCodec::Encode(aa), SketchCodec::Encode(a));
   }

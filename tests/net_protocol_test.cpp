@@ -376,6 +376,25 @@ TEST(NetProtocol, StructuredItemRejectsRangeBoundsOutOfDomain) {
   EXPECT_FALSE(DecodeStructuredItem(r, 8, &item).ok());
 }
 
+TEST(NetProtocol, StructuredItemRejectsRangeDimensionsWiderThan62Bits) {
+  // One dimension filling the whole universe, at n = 63 and n = 64: the
+  // width check refuses it before the range reaches MultiDimRange.
+  for (const int n : {63, 64}) {
+    wire::ByteWriter w;
+    w.U8(1);      // range
+    w.Varint(1);  // one dim
+    w.Varint(static_cast<uint64_t>(n));
+    w.Varint(0);  // lo
+    w.Varint(5);  // hi
+    w.Varint(0);  // step
+    const std::string bytes = w.Take();
+    wire::ByteReader r(bytes);
+    StructuredItem item;
+    const Status status = DecodeStructuredItem(r, n, &item);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << "n " << n;
+  }
+}
+
 TEST(NetProtocol, StructuredItemRejectsAffineRankOutsideUniverse) {
   // rank must stay in [1, n]: rank 0 constrains nothing and rank > n
   // would make StructuredF0's AddAffine abort.

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <unordered_set>
 
 #include "common/rng.hpp"
+#include "engine/sketch_codec.hpp"
 
 namespace mcf0 {
 namespace {
@@ -128,6 +130,62 @@ TEST(F0Estimator, SmallDistinctCountsAreNearExact) {
     F0Estimator est(params);
     for (uint64_t x = 0; x < 50; ++x) est.Add(x * 977);
     EXPECT_DOUBLE_EQ(est.Estimate(), 50.0);
+  }
+}
+
+TEST(F0Estimator, CopyIsIndependentAndOutlivesItsSource) {
+  // A copy is a sketch of its own: what the source absorbs after the copy
+  // is not in it, and destroying the source leaves it whole (under ASan,
+  // a field still owned by the source would be a use-after-free). Fed on,
+  // it stays byte-identical to a twin built the same way.
+  for (const auto alg : {F0Algorithm::kBucketing, F0Algorithm::kMinimum,
+                         F0Algorithm::kEstimation}) {
+    F0Params params;
+    params.n = 20;
+    params.algorithm = alg;
+    params.rows_override = 5;
+    params.thresh_override = 24;
+    params.s_override = 4;
+    params.seed = 31;
+    Rng rng(37);
+    std::vector<uint64_t> head;
+    std::vector<uint64_t> tail;
+    std::vector<uint64_t> source_only;
+    for (int i = 0; i < 300; ++i) {
+      head.push_back(rng.NextBelow(1u << 20));
+      tail.push_back(rng.NextBelow(1u << 20));
+      source_only.push_back(rng.NextBelow(1u << 20));
+    }
+
+    auto source = std::make_unique<F0Estimator>(params);
+    source->Add(head);
+    F0Estimator copy = *source;
+    source->Add(source_only);
+    source.reset();
+
+    F0Estimator twin(params);
+    twin.Add(head);
+    copy.Add(tail);
+    twin.Add(tail);
+    EXPECT_EQ(SketchCodec::Encode(copy), SketchCodec::Encode(twin));
+    EXPECT_DOUBLE_EQ(copy.Estimate(), twin.Estimate());
+  }
+}
+
+TEST(F0Estimator, WordsBeyondTheUniverseCountByTheirLowNBits) {
+  // The universe is {0,1}^n: every sketch reads a stream word by its low
+  // n bits, so 300 words that differ only above bit n are one element.
+  for (const auto alg : {F0Algorithm::kBucketing, F0Algorithm::kMinimum,
+                         F0Algorithm::kEstimation}) {
+    F0Params params;
+    params.n = 32;
+    params.algorithm = alg;
+    params.rows_override = 5;
+    F0Estimator aliased(params);
+    for (uint64_t i = 0; i < 300; ++i) aliased.Add(7 + (i << 32));
+    F0Estimator single(params);
+    single.Add(7);
+    EXPECT_EQ(SketchCodec::Encode(aliased), SketchCodec::Encode(single));
   }
 }
 

@@ -376,19 +376,13 @@ TEST(StructuredSketchMergeTest, MergeIsCommutativeAndIdempotent) {
     const StructuredF0 a = BuildSketch(params, MakeTerms(12, 10, 41));
     const StructuredF0 b = BuildSketch(params, MakeTerms(12, 10, 43));
 
-    auto clone = [](const StructuredF0& sketch) {
-      auto decoded =
-          SketchCodec::DecodeStructuredF0(SketchCodec::Encode(sketch));
-      EXPECT_TRUE(decoded.ok());
-      return std::move(decoded).value();
-    };
-    StructuredF0 ab = clone(a);
+    StructuredF0 ab = a;
     ASSERT_TRUE(Merge(ab, b).ok());
-    StructuredF0 ba = clone(b);
+    StructuredF0 ba = b;
     ASSERT_TRUE(Merge(ba, a).ok());
     EXPECT_EQ(SketchCodec::Encode(ab), SketchCodec::Encode(ba));
 
-    StructuredF0 aa = clone(a);
+    StructuredF0 aa = a;
     ASSERT_TRUE(Merge(aa, a).ok());
     EXPECT_EQ(SketchCodec::Encode(aa), SketchCodec::Encode(a));
   }

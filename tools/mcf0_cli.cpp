@@ -743,12 +743,16 @@ std::vector<MultiDimRange> ParseRangeFileOrDie(const std::string& text,
       // Bound before multiplying: a huge claimed dims must not overflow
       // the int product (UB) on its way to this check.
       CheckUniverseOrDie(static_cast<int64_t>(dims) * bits, "range");
+      if (bits > kMaxRangeDimensionBits) {
+        Fail("range dimension exceeds " +
+             std::to_string(kMaxRangeDimensionBits) + " bits");
+      }
       have_header = true;
       continue;
     }
     MultiDimRange range(dims, bits);
     std::istringstream row(line);
-    const uint64_t max = bits == 64 ? ~0ull : ((1ull << bits) - 1);
+    const uint64_t max = (1ull << bits) - 1;
     for (int j = 0; j < dims; ++j) {
       uint64_t lo = 0;
       uint64_t hi = 0;
