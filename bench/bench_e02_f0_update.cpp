@@ -1,9 +1,9 @@
 // E2 — sketch space and per-item update time: both must be
 // poly(1/eps, log N), independent of the stream length. Space table
-// across eps, a kernel-tier table (scalar vs batched absorb on every
-// GF(2) kernel tier this CPU offers, medians of 5) feeding
-// BENCH_e02_hash.json, and google-benchmark timings for Add() when the
-// library is available.
+// across eps, a kernel-tier table (scalar vs batched absorb of the
+// Estimation and Minimum sketches on every GF(2) kernel tier this CPU
+// offers, medians of 5) feeding BENCH_e02_hash.json, and
+// google-benchmark timings for Add() when the library is available.
 //
 // The tier table doubles as a gate: the batched span-Add path must not
 // be slower than item-at-a-time Add on any tier, and every (tier, path)
@@ -119,6 +119,50 @@ AbsorbRates MeasureAbsorb(const F0Params& params,
   return rates;
 }
 
+/// One (sketch, tier) cell pair of the kernel-tier table.
+struct TierRow {
+  const char* sketch;
+  gf2k::KernelTier tier;
+  AbsorbRates rates;
+};
+
+/// Measures `params` on every tier, printing and appending one row per
+/// tier. False (after saying why) when a tier's sketch bytes differ from
+/// the portable item-at-a-time build, or when span-Add is slower than
+/// item-at-a-time Add on it.
+bool MeasureTiers(const char* sketch, const F0Params& params,
+                  const std::vector<uint64_t>& xs, int runs,
+                  std::vector<TierRow>* rows) {
+  std::string reference_bytes;  // portable scalar build: the ground truth
+  for (const gf2k::KernelTier tier : TiersToMeasure()) {
+    gf2k::ForceKernelTier(tier);
+    const AbsorbRates rates = MeasureAbsorb(params, xs, runs);
+    gf2k::ForceKernelTier(std::nullopt);
+    if (tier == gf2k::KernelTier::kPortable) {
+      reference_bytes = rates.scalar_bytes;
+    }
+    std::printf("%-10s %-9s %9zu %12.0f %12.0f %8.2fx\n", sketch,
+                gf2k::KernelTierName(tier), xs.size(),
+                rates.scalar_elems_per_sec, rates.batched_elems_per_sec,
+                rates.batched_elems_per_sec / rates.scalar_elems_per_sec);
+    if (rates.scalar_bytes != reference_bytes ||
+        rates.batched_bytes != reference_bytes) {
+      std::printf("  ^ MISMATCH: %s %s sketch bytes diverged from the "
+                  "portable scalar build!\n",
+                  gf2k::KernelTierName(tier), sketch);
+      return false;
+    }
+    if (rates.batched_elems_per_sec < rates.scalar_elems_per_sec) {
+      std::printf("  ^ GATE FAILED: batched %s absorb slower than scalar on "
+                  "tier %s\n",
+                  sketch, gf2k::KernelTierName(tier));
+      return false;
+    }
+    rows->push_back({sketch, tier, rates});
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,11 +189,11 @@ int main(int argc, char** argv) {
 
   // Kernel-tier table: the Estimation sketch is the polynomial-hash-bound
   // one, so its absorb rate is where the GF(2) kernel tier and the
-  // batched (HornerBatch) path show up. Medians of 5 runs per cell.
+  // batched (HornerBatch) path show up; the Minimum sketch is bound by
+  // the Toeplitz middle product (ToeplitzAffine) and its flat KMV rows.
+  // Medians of 5 runs per cell.
   const size_t tier_elements = smoke ? 30000 : 200000;
   constexpr int kRuns = 5;
-  const mcf0::F0Params tier_params =
-      MakeParams(mcf0::F0Algorithm::kEstimation, 0.4);
   std::vector<uint64_t> xs(tier_elements);
   {
     mcf0::Rng rng(11);
@@ -158,45 +202,26 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\n-- GF(2) kernel tiers: scalar vs batched absorb "
-      "(Estimation, medians of %d) --\n",
+      "(medians of %d) --\n",
       kRuns);
-  std::printf("%-9s %9s %12s %12s %9s\n", "tier", "elements", "scalar/s",
-              "batched/s", "speedup");
-  struct TierRow {
-    mcf0::gf2k::KernelTier tier;
-    AbsorbRates rates;
-  };
+  std::printf("%-10s %-9s %9s %12s %12s %9s\n", "sketch", "tier", "elements",
+              "scalar/s", "batched/s", "speedup");
   std::vector<TierRow> rows;
-  std::string reference_bytes;  // portable scalar build: the ground truth
-  for (const mcf0::gf2k::KernelTier tier : TiersToMeasure()) {
-    mcf0::gf2k::ForceKernelTier(tier);
-    const AbsorbRates rates = MeasureAbsorb(tier_params, xs, kRuns);
-    mcf0::gf2k::ForceKernelTier(std::nullopt);
-    if (tier == mcf0::gf2k::KernelTier::kPortable) {
-      reference_bytes = rates.scalar_bytes;
-    }
-    std::printf("%-9s %9zu %12.0f %12.0f %8.2fx\n",
-                mcf0::gf2k::KernelTierName(tier), xs.size(),
-                rates.scalar_elems_per_sec, rates.batched_elems_per_sec,
-                rates.batched_elems_per_sec / rates.scalar_elems_per_sec);
-    if (rates.scalar_bytes != reference_bytes ||
-        rates.batched_bytes != reference_bytes) {
-      std::printf("  ^ MISMATCH: %s sketch bytes diverged from the portable "
-                  "scalar build!\n",
-                  mcf0::gf2k::KernelTierName(tier));
+  for (const auto& [sketch, algorithm] :
+       {std::pair{"Estimation", F0Algorithm::kEstimation},
+        std::pair{"Minimum", F0Algorithm::kMinimum}}) {
+    if (!MeasureTiers(sketch, MakeParams(algorithm, 0.4), xs, kRuns, &rows)) {
       return 1;
     }
-    if (rates.batched_elems_per_sec < rates.scalar_elems_per_sec) {
-      std::printf("  ^ GATE FAILED: batched absorb slower than scalar on "
-                  "tier %s\n",
-                  mcf0::gf2k::KernelTierName(tier));
-      return 1;
-    }
-    rows.push_back({tier, rates});
   }
   const double portable_scalar = rows.front().rates.scalar_elems_per_sec;
-  const double best_batched = rows.back().rates.batched_elems_per_sec;
-  std::printf("best batched vs portable scalar: %.2fx\n",
+  double best_batched = 0.0;
+  for (const TierRow& row : rows) {
+    if (std::strcmp(row.sketch, "Estimation") == 0) {
+      best_batched = row.rates.batched_elems_per_sec;
+    }
+  }
+  std::printf("best batched vs portable scalar (Estimation): %.2fx\n",
               best_batched / portable_scalar);
 
   // Machine-readable summary (same manual-JSON idiom as BENCH_e17/e19).
@@ -212,7 +237,8 @@ int main(int argc, char** argv) {
        << "  \"runs\": " << kRuns << ",\n"
        << "  \"tiers\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
-    json << "    {\"tier\": \"" << mcf0::gf2k::KernelTierName(rows[i].tier)
+    json << "    {\"sketch\": \"" << rows[i].sketch << "\", \"tier\": \""
+         << mcf0::gf2k::KernelTierName(rows[i].tier)
          << "\", \"scalar_elems_per_sec\": "
          << rows[i].rates.scalar_elems_per_sec
          << ", \"batched_elems_per_sec\": "

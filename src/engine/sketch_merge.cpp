@@ -51,9 +51,14 @@ Status Merge(MinimumSketchRow& into, const MinimumSketchRow& from) {
   if (into.thresh() != from.thresh() || !(into.hash() == from.hash())) {
     return Incompatible("minimum rows");
   }
-  // AddHashed is the KMV union: set-insert, then drop back to the Thresh
-  // smallest.
-  for (const BitVec& v : from.values()) into.AddHashed(v);
+  // AddHashedWords is the KMV union: sorted insert, then drop back to the
+  // Thresh smallest. `from` is ascending, so its first rejected value
+  // ends it.
+  const KmvValues values = from.values();
+  for (size_t k = 0; k < values.size(); ++k) {
+    if (!into.Admits(values.Words(k))) break;
+    into.AddHashedWords(values.Words(k));
+  }
   return Status::Ok();
 }
 

@@ -53,71 +53,106 @@ Status DecodeAscendingU64Set(ByteReader& r, uint64_t count, uint64_t max,
   return Status::Ok();
 }
 
-/// Solves A x = rhs over GF(2) for many right-hand sides sharing A: one
-/// row reduction up front (tracking, per pivot row, which combination of
-/// original rows produced it), then each solve is a handful of dot
-/// products. Powers the v2 preimage coding of KMV value sets: a Minimum
-/// row's values are hash outputs, so storing one n-bit preimage per value
-/// beats storing the m = 3n bit value — the decoder just re-hashes.
+/// Inverts a word-universe hash (n <= 64) on many values: the canonical
+/// preimage of a value y is the x with h(x) = y whose free variables are
+/// zero. Powers the v2 preimage coding of KMV value sets: a Minimum row's
+/// values are hash outputs, so storing one n-bit preimage per value beats
+/// storing the m = 3n bit value — the decoder just re-hashes.
+///
+/// Construction reads A's columns as h(e_j) + b (one kernel batch over
+/// the unit inputs, no dense matrix) and reduces them left to right into
+/// a fully reduced basis: column j becomes a pivot iff it is independent
+/// of columns < j — the pivot columns of A's reduced row echelon form, so
+/// "free variables zero" means the same x as ever — and every pivot bit
+/// is set in its own basis vector only. A value in the column space is
+/// then the sum of the basis vectors whose pivot bits it has, so its
+/// preimage is read straight off those bits, branch-free.
 class PreimageSolver {
  public:
-  explicit PreimageSolver(const Gf2Matrix& a) : a_(a) {
-    const int m = a.rows();
-    for (int i = 0; i < m; ++i) {
-      BitVec row = a.Row(i);
-      BitVec combo(m);
-      combo.Set(i, true);
-      for (size_t k = 0; k < rows_.size(); ++k) {
-        if (row.Get(pivots_[k])) {
-          row ^= rows_[k];
-          combo ^= combos_[k];
+  explicit PreimageSolver(const AffineHash& h)
+      : h_(h), width_(static_cast<size_t>(h.OutputWords())) {
+    const size_t n = static_cast<size_t>(h.n());
+    MCF0_CHECK(n <= 64);
+    // Unit input j as Eval64 reads it: bit n - 1 - j of the integer.
+    std::vector<uint64_t> units(n);
+    for (size_t j = 0; j < n; ++j) units[j] = 1ull << (n - 1 - j);
+    std::vector<uint64_t> columns(n * width_);
+    h.EvalBatch(units, columns);
+    for (size_t j = 0; j < n; ++j) {
+      uint64_t* column = columns.data() + j * width_;
+      for (size_t w = 0; w < width_; ++w) column[w] ^= h.b().words()[w];
+      uint64_t combo = 1ull << (63 - j);  // which pivot columns sum to it
+      for (size_t k = 0; k < pivots_.size(); ++k) {
+        if (((column[pivots_[k].word] >> pivots_[k].shift) & 1) != 0) {
+          for (size_t w = 0; w < width_; ++w) {
+            column[w] ^= basis_[k * width_ + w];
+          }
+          combo ^= pivots_[k].combo;
         }
       }
-      const int lead = row.LeadingBit();
-      if (lead < 0) continue;  // linearly dependent on earlier rows
-      for (size_t k = 0; k < rows_.size(); ++k) {
-        if (rows_[k].Get(lead)) {
-          rows_[k] ^= row;
-          combos_[k] ^= combo;
+      const uint64_t* lead = std::find_if(
+          column, column + width_, [](uint64_t w) { return w != 0; });
+      if (lead == column + width_) continue;  // dependent on earlier columns
+      const Pivot pivot{static_cast<size_t>(lead - column),
+                        63 - std::countl_zero(*lead), combo};
+      // Clear the new pivot bit from the earlier basis vectors.
+      for (size_t k = 0; k < pivots_.size(); ++k) {
+        if (((basis_[k * width_ + pivot.word] >> pivot.shift) & 1) != 0) {
+          for (size_t w = 0; w < width_; ++w) {
+            basis_[k * width_ + w] ^= column[w];
+          }
+          pivots_[k].combo ^= combo;
         }
       }
-      rows_.push_back(std::move(row));
-      combos_.push_back(std::move(combo));
-      pivots_.push_back(lead);
+      pivots_.push_back(pivot);
+      basis_.insert(basis_.end(), column, column + width_);
     }
   }
 
-  /// The canonical solution (free variables zero), or nullopt when the
-  /// system is inconsistent. Deterministic, so re-encoding a decoded row
-  /// reproduces the exact preimage bytes.
-  std::optional<BitVec> Solve(const BitVec& rhs) const {
-    BitVec x(a_.cols());
-    for (size_t k = 0; k < rows_.size(); ++k) {
-      if (combos_[k].DotF2(rhs)) x.Set(pivots_[k], true);
+  /// The canonical preimage of `value` (OutputWords() words, BitVec
+  /// layout) as Eval64 reads it (the n-bit big-endian integer), when
+  /// `value` has one; some other x otherwise, so a caller that does not
+  /// know `value` to be a hash output checks h(x) == value. Deterministic,
+  /// so re-encoding a decoded row reproduces the exact preimage bytes.
+  uint64_t Solve(std::span<const uint64_t> value) const {
+    uint64_t x = 0;
+    for (const Pivot& p : pivots_) {
+      const uint64_t bit =
+          ((value[p.word] ^ h_.b().words()[p.word]) >> p.shift) & 1;
+      x ^= p.combo & (0 - bit);
     }
-    if (!(a_.Mul(x) == rhs)) return std::nullopt;
-    return x;
+    return h_.n() == 64 ? x : x >> (64 - h_.n());
   }
 
  private:
-  const Gf2Matrix& a_;
-  std::vector<BitVec> rows_;    // RREF rows of A
-  std::vector<BitVec> combos_;  // rows_[k] = combos_[k] · (original rows)
-  std::vector<int> pivots_;
+  struct Pivot {
+    size_t word;     // the pivot bit's word in a column
+    int shift;       // the pivot bit's position within that word
+    uint64_t combo;  // pivot columns (bit 63 - j for column j) summing to it
+  };
+
+  const AffineHash& h_;
+  size_t width_;
+  std::vector<Pivot> pivots_;
+  std::vector<uint64_t> basis_;  // pivots_.size() reduced columns
 };
 
 /// The sorted canonical preimages of every KMV value, or nullopt if any
 /// value has none (then the explicit-value fallback encoding is used).
 std::optional<std::vector<uint64_t>> KmvPreimages(const MinimumSketchRow& row) {
   if (row.hash().n() > 64) return std::nullopt;
-  const PreimageSolver solver(row.hash().A());
+  const PreimageSolver solver(row.hash());
+  const KmvValues values = row.values();
   std::vector<uint64_t> preimages;
-  preimages.reserve(row.values().size());
-  for (const BitVec& value : row.values()) {
-    const std::optional<BitVec> x = solver.Solve(value ^ row.hash().b());
-    if (!x.has_value()) return std::nullopt;
-    preimages.push_back(x->ToU64());
+  preimages.reserve(values.size());
+  for (size_t k = 0; k < values.size(); ++k) {
+    preimages.push_back(solver.Solve(values.Words(k)));
   }
+  // Values inserted through AddHashed (the §4 and §5 protocols) may have
+  // no preimage: re-hash every candidate in one batch and compare.
+  std::vector<uint64_t> hashed(values.words().size());
+  row.hash().EvalBatch(preimages, hashed);
+  if (!std::ranges::equal(hashed, values.words())) return std::nullopt;
   std::sort(preimages.begin(), preimages.end());
   return preimages;
 }
@@ -622,7 +657,7 @@ void EncodeMinimumPayload(ByteWriter& w, const MinimumSketchRow& row,
   if (preimages.has_value()) {
     EncodeAscendingU64Set(w, *preimages);
   } else {
-    // std::set iterates in canonical (strictly ascending) order.
+    // Values are kept strictly ascending: the canonical order.
     for (const BitVec& v : row.values()) w.RawBits(v);
   }
 }
@@ -687,7 +722,7 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
     Status set_status = DecodeAscendingU64Set(r, count, UniverseMax(n),
                                               "minimum values", &preimages);
     if (!set_status.ok()) return set_status;
-    for (const uint64_t x : preimages) row.Add(x);
+    row.Add(std::span<const uint64_t>(preimages));
     if (row.values().size() != count) {
       // Two preimages collided on one hash value; the canonical encoder
       // derives one preimage per distinct value, so this blob is bogus.
@@ -698,12 +733,16 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
     // with kernel vector k would hash identically, and accepting it would
     // give one row state two wire encodings, unlike every other v2 field.
     if (count > 0) {
-      const PreimageSolver solver(row.hash().A());
-      for (const uint64_t x : preimages) {
-        const BitVec hashed =
-            row.hash().Eval(BitVec::FromU64(x, n)) ^ row.hash().b();
-        const std::optional<BitVec> canonical = solver.Solve(hashed);
-        if (!canonical.has_value() || canonical->ToU64() != x) {
+      const PreimageSolver solver(row.hash());
+      const size_t width = static_cast<size_t>(row.hash().OutputWords());
+      std::vector<uint64_t> hashed(preimages.size() * width);
+      row.hash().EvalBatch(preimages, hashed);
+      for (size_t i = 0; i < preimages.size(); ++i) {
+        // hashed[i] = h(preimages[i]) has a preimage, so Solve returns
+        // the canonical one.
+        const std::span<const uint64_t> value(hashed.data() + i * width,
+                                              width);
+        if (solver.Solve(value) != preimages[i]) {
           return Status::ParseError("minimum preimage is not canonical");
         }
       }

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -15,6 +16,15 @@ BitVec BitVec::FromU64(uint64_t value, int nbits) {
     // Place the nbits-bit big-endian representation at the top of word 0.
     v.words_[0] = value << (64 - nbits);
   }
+  return v;
+}
+
+BitVec BitVec::FromWords(int size, std::vector<uint64_t> words) {
+  MCF0_CHECK(size >= 0 && words.size() == static_cast<size_t>(NumWords(size)));
+  BitVec v;
+  v.size_ = size;
+  v.words_ = std::move(words);
+  v.MaskTail();
   return v;
 }
 
@@ -141,23 +151,6 @@ BitVec BitVec::Reversed() const {
   BitVec out(size_);
   for (int i = 0; i < size_; ++i) out.Set(i, Get(size_ - 1 - i));
   return out;
-}
-
-bool BitVec::DotWindowF2(int start, const BitVec& x) const {
-  MCF0_CHECK(start >= 0 && start + x.size() <= size_);
-  const int w0 = start >> 6;
-  const int shift = start & 63;
-  uint64_t acc = 0;
-  // x's tail word is masked (class invariant), so ANDing with it also
-  // truncates the window's final partial word.
-  for (size_t k = 0; k < x.words_.size(); ++k) {
-    uint64_t v = words_[w0 + k] << shift;
-    if (shift != 0 && w0 + k + 1 < words_.size()) {
-      v |= words_[w0 + k + 1] >> (64 - shift);
-    }
-    acc ^= v & x.words_[k];
-  }
-  return std::popcount(acc) & 1;
 }
 
 BitVec BitVec::Concat(const BitVec& o) const {

@@ -42,6 +42,12 @@ class BitVec {
   /// nbits < 64.
   static BitVec FromU64(uint64_t value, int nbits);
 
+  /// Adopts `words` (the layout above, ceil(size / 64) of them) as a
+  /// `size`-bit string; bits past `size` in the last word are cleared.
+  /// How word-level kernels (gf2k::ToeplitzAffine) hand back a BitVec
+  /// without a per-bit copy.
+  static BitVec FromWords(int size, std::vector<uint64_t> words);
+
   /// Parses a string of '0'/'1' characters.
   static BitVec FromString(const std::string& s);
 
@@ -109,17 +115,12 @@ class BitVec {
   BitVec Prefix(int l) const;
 
   /// Contiguous window [start, start + len) as a new vector. Word-parallel
-  /// (shift-and-merge per output word, not per-bit Get/Set) — this is how
-  /// ToeplitzMatrix materializes rows from its reversed diagonal seed.
+  /// (shift-and-merge per output word, not per-bit Get/Set).
   BitVec Slice(int start, int len) const;
 
   /// The string read back-to-front: Reversed()[p] = (*this)[size()-1-p].
+  /// A Toeplitz row is a reversed window of the diagonal seed.
   BitVec Reversed() const;
-
-  /// GF(2) inner product of the window [start, start + x.size()) with x,
-  /// without materializing the window. The packed Toeplitz matrix-vector
-  /// product is m of these against one reversed seed.
-  bool DotWindowF2(int start, const BitVec& x) const;
 
   /// Concatenation: *this followed by `o`.
   BitVec Concat(const BitVec& o) const;

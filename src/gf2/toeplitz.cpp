@@ -8,10 +8,6 @@ ToeplitzMatrix::ToeplitzMatrix(int rows, int cols, BitVec seed)
     : rows_(rows), cols_(cols), seed_(std::move(seed)) {
   MCF0_CHECK(rows >= 0 && cols >= 0);
   MCF0_CHECK(seed_.size() == rows + cols - 1 || (rows == 0 && cols == 0));
-  // T[i][j] = seed[i - j + cols - 1] = rev[rows - 1 - i + j]: with the
-  // seed reversed, row i becomes the contiguous window starting at
-  // rows - 1 - i, which Row/Mul read word-parallel.
-  rev_seed_ = seed_.Reversed();
 }
 
 ToeplitzMatrix ToeplitzMatrix::Random(int rows, int cols, Rng& rng) {
@@ -20,16 +16,8 @@ ToeplitzMatrix ToeplitzMatrix::Random(int rows, int cols, Rng& rng) {
 
 BitVec ToeplitzMatrix::Row(int i) const {
   MCF0_DCHECK(i >= 0 && i < rows_);
-  return rev_seed_.Slice(rows_ - 1 - i, cols_);
-}
-
-BitVec ToeplitzMatrix::Mul(const BitVec& x) const {
-  MCF0_CHECK(x.size() == cols_);
-  BitVec y(rows_);
-  for (int i = 0; i < rows_; ++i) {
-    if (rev_seed_.DotWindowF2(rows_ - 1 - i, x)) y.Set(i, true);
-  }
-  return y;
+  // row_i[j] = seed[i + cols - 1 - j]: the window [i, i + cols) reversed.
+  return seed_.Slice(i, cols_).Reversed();
 }
 
 Gf2Matrix ToeplitzMatrix::ToDense() const {

@@ -4,9 +4,11 @@
 /// The paper's H_Toeplitz(n, m) family samples h(x) = A x + b with A a
 /// uniformly random m x n Toeplitz matrix. A Toeplitz matrix is constant
 /// along diagonals, so it is determined by its first row and first column —
-/// n + m - 1 bits instead of n*m. This class stores exactly that seed and
-/// materializes rows on demand; it is the representation-size contrast the
-/// paper draws against H_xor (Theta(n^2) bits when m = n).
+/// n + m - 1 bits instead of n*m. This class stores exactly that seed; it
+/// is the representation-size contrast the paper draws against H_xor
+/// (Theta(n^2) bits when m = n). Products run on the seed words through
+/// the carry-less middle product gf2k::ToeplitzAffine (AffineHash's
+/// evaluation path); rows and the dense form are for linear algebra.
 #pragma once
 
 #include "gf2/bitvec.hpp"
@@ -35,14 +37,9 @@ class ToeplitzMatrix {
     return seed_.Get(i - j + cols_ - 1);
   }
 
-  /// Materializes row i as a BitVec of cols() bits. Row i is a contiguous
-  /// window of the reversed seed (row_i[j] = rev[m - 1 - i + j]), so this
-  /// is a word-parallel Slice, not a per-bit walk.
+  /// Materializes row i as a BitVec of cols() bits: the seed window
+  /// [i, i + cols()) read back-to-front.
   BitVec Row(int i) const;
-
-  /// Matrix-vector product computed from the seed (no densification):
-  /// one word-parallel window dot per output bit.
-  BitVec Mul(const BitVec& x) const;
 
   /// Dense copy (used when the caller needs full linear algebra).
   Gf2Matrix ToDense() const;
@@ -54,9 +51,6 @@ class ToeplitzMatrix {
   int rows_;
   int cols_;
   BitVec seed_;
-  /// seed_ reversed, computed once at construction: every row of the
-  /// matrix is a contiguous cols_-bit window of this vector.
-  BitVec rev_seed_;
 };
 
 }  // namespace mcf0

@@ -1,5 +1,6 @@
 #include "hash/gf2_kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -127,6 +128,109 @@ void HornerBatchSoft(std::span<const uint64_t> coeffs,
   }
 }
 
+// ---- Toeplitz middle product ----------------------------------------------
+
+/// Word geometry of one (n, m) Toeplitz product, fixed across a batch.
+/// With ws seed words and wx input words, seed word t times input word u
+/// lands on product words d and d + 1, d = (ws - 1 - t) + (wx - 1 - u),
+/// counting from the least significant end; output word q is the funnel
+/// of product words k0 + wy - 1 - q and the one above it, shifted right
+/// by r (the ToeplitzAffine comment has the polynomial reading).
+struct ToeplitzShape {
+  int wx = 0;  ///< words per input
+  int wy = 0;  ///< words per output
+  int ws = 0;  ///< seed words read
+  int k0 = 0;  ///< lowest product word of the output window
+  int r = 0;   ///< bit offset of the window inside product word k0
+  uint64_t tail = 0;  ///< valid bits of the last output word
+};
+
+ToeplitzShape MakeToeplitzShape(int n, int m) {
+  ToeplitzShape sh;
+  sh.wx = (n + 63) / 64;
+  sh.wy = (m + 63) / 64;
+  sh.ws = (n + m - 1 + 63) / 64;
+  // y_0 sits at exponent 64 (ws + wx) - n - 1 and the output's top bit at
+  // 64 wy - 1, so the window starts s = 64 (ws + wx - wy) - n bits up;
+  // s >= 0 because ws >= wy and 64 wx >= n.
+  const int s = 64 * (sh.ws + sh.wx - sh.wy) - n;
+  sh.k0 = s / 64;
+  sh.r = s % 64;
+  sh.tail = (m % 64 == 0) ? ~0ull : ~0ull << (64 - m % 64);
+  return sh;
+}
+
+/// The carry-less products of the seed and input word pairs that land on
+/// product word d, XORed: low halves belong to word d, high halves to
+/// d + 1. Zero outside [0, ws + wx - 2].
+template <typename Clmul>
+__attribute__((always_inline)) inline Product128 PairsAt(
+    const ToeplitzShape& sh, const uint64_t* seed, const uint64_t* x, int d,
+    Clmul clmul) {
+  Product128 sum;
+  const int top = sh.ws + sh.wx - 2;
+  if (d < 0 || d > top) return sum;
+  const int u_end = std::min(sh.wx - 1, top - d);
+  for (int u = std::max(0, sh.wx - 1 - d); u <= u_end; ++u) {
+    const Product128 p = clmul(seed[top - d - u], x[u]);
+    sum.hi ^= p.hi;
+    sum.lo ^= p.lo;
+  }
+  return sum;
+}
+
+/// y = T x + b for one input, through `clmul` (one tier's 64x64 carry-less
+/// multiply). Product words are built one at a time, lowest first: word k
+/// is the low halves of the pairs at d = k plus the high halves carried
+/// from d = k - 1. Always inlined (as is PairsAt), so each tier's wrapper
+/// gets its own copy with the multiply inlined under that tier's target
+/// options.
+template <typename Clmul>
+__attribute__((always_inline)) inline void ToeplitzOne(
+    const ToeplitzShape& sh, const uint64_t* seed, const uint64_t* b,
+    const uint64_t* x, uint64_t* y, Clmul clmul) {
+  uint64_t carry = PairsAt(sh, seed, x, sh.k0 - 1, clmul).hi;
+  uint64_t prev = 0;
+  // r == 0: the window is whole product words, so the word above the top
+  // one is never read.
+  const int words = sh.wy + (sh.r != 0 ? 1 : 0);
+  for (int j = 0; j < words; ++j) {
+    const Product128 p = PairsAt(sh, seed, x, sh.k0 + j, clmul);
+    const uint64_t word = p.lo ^ carry;
+    carry = p.hi;
+    if (j > 0) {
+      const int q = sh.wy - j;
+      const uint64_t window =
+          sh.r == 0 ? prev : (prev >> sh.r) | (word << (64 - sh.r));
+      y[q] = window ^ b[q];
+    }
+    prev = word;
+  }
+  if (sh.r == 0) y[0] = prev ^ b[0];
+  y[sh.wy - 1] &= sh.tail;
+}
+
+/// The batch loop shared by every tier: geometry computed once, then one
+/// ToeplitzOne per input.
+template <typename Clmul>
+__attribute__((always_inline)) inline void ToeplitzBatch(
+    std::span<const uint64_t> seed, int n, int m, std::span<const uint64_t> b,
+    std::span<const uint64_t> xs, std::span<uint64_t> ys, Clmul clmul) {
+  const ToeplitzShape sh = MakeToeplitzShape(n, m);
+  uint64_t* y = ys.data();
+  for (size_t i = 0; i + static_cast<size_t>(sh.wx) <= xs.size();
+       i += static_cast<size_t>(sh.wx), y += sh.wy) {
+    ToeplitzOne(sh, seed.data(), b.data(), xs.data() + i, y, clmul);
+  }
+}
+
+void ToeplitzAffineSoft(std::span<const uint64_t> seed, int n, int m,
+                        std::span<const uint64_t> b,
+                        std::span<const uint64_t> xs, std::span<uint64_t> ys) {
+  ToeplitzBatch(seed, n, m, b, xs, ys,
+                [](uint64_t a, uint64_t c) { return ClmulSoft(a, c); });
+}
+
 // ---- x86-64 PCLMULQDQ tier ------------------------------------------------
 
 #if defined(MCF0_GF2K_X86)
@@ -166,7 +270,8 @@ MCF0_TARGET_CLMUL inline uint64_t MulClmul(uint64_t a, uint64_t b, int w,
   return lo;
 }
 
-MCF0_TARGET_CLMUL Product128 CarrylessMulClmul(uint64_t a, uint64_t b) {
+MCF0_TARGET_CLMUL inline Product128 CarrylessMulClmul(uint64_t a,
+                                                   uint64_t b) {
   const __m128i prod =
       _mm_clmulepi64_si128(_mm_set_epi64x(0, static_cast<long long>(a)),
                            _mm_set_epi64x(0, static_cast<long long>(b)), 0x00);
@@ -188,6 +293,17 @@ MCF0_TARGET_CLMUL void HornerBatchClmul(std::span<const uint64_t> coeffs,
     }
     out[i] = acc;
   }
+}
+
+MCF0_TARGET_CLMUL void ToeplitzAffineClmul(std::span<const uint64_t> seed,
+                                           int n, int m,
+                                           std::span<const uint64_t> b,
+                                           std::span<const uint64_t> xs,
+                                           std::span<uint64_t> ys) {
+  ToeplitzBatch(seed, n, m, b, xs, ys,
+                [](uint64_t a, uint64_t c) MCF0_TARGET_CLMUL {
+                  return CarrylessMulClmul(a, c);
+                });
 }
 #endif  // MCF0_GF2K_X86
 
@@ -240,6 +356,17 @@ MCF0_TARGET_PMULL void HornerBatchPmull(std::span<const uint64_t> coeffs,
     }
     out[i] = acc;
   }
+}
+
+MCF0_TARGET_PMULL void ToeplitzAffinePmull(std::span<const uint64_t> seed,
+                                           int n, int m,
+                                           std::span<const uint64_t> b,
+                                           std::span<const uint64_t> xs,
+                                           std::span<uint64_t> ys) {
+  ToeplitzBatch(seed, n, m, b, xs, ys,
+                [](uint64_t a, uint64_t c) MCF0_TARGET_PMULL {
+                  return CarrylessMulPmullRaw(a, c);
+                });
 }
 #endif  // MCF0_GF2K_ARM
 
@@ -381,6 +508,32 @@ void HornerBatch(std::span<const uint64_t> coeffs,
       return;
 #endif
     default: HornerBatchSoft(coeffs, xs, out, w, mod_low); return;
+  }
+}
+
+void ToeplitzAffine(std::span<const uint64_t> seed, int n, int m,
+                    std::span<const uint64_t> b, std::span<const uint64_t> xs,
+                    std::span<uint64_t> ys) {
+  MCF0_CHECK(n >= 1 && m >= 1);
+  const size_t wx = static_cast<size_t>(n + 63) / 64;
+  const size_t wy = static_cast<size_t>(m + 63) / 64;
+  // Cross-multiplied, not divided: a 64-bit divide costs more than the
+  // two multiplies of a single evaluation. The input loop steps wx words
+  // at a time, so a ragged xs cannot write past ys either.
+  MCF0_CHECK(seed.size() >= static_cast<size_t>(n + m - 1 + 63) / 64 &&
+             b.size() >= wy && xs.size() * wy == ys.size() * wx);
+  switch (ActiveKernelTier()) {
+#if defined(MCF0_GF2K_X86)
+    case KernelTier::kClmul:
+      ToeplitzAffineClmul(seed, n, m, b, xs, ys);
+      return;
+#endif
+#if defined(MCF0_GF2K_ARM)
+    case KernelTier::kPmull:
+      ToeplitzAffinePmull(seed, n, m, b, xs, ys);
+      return;
+#endif
+    default: ToeplitzAffineSoft(seed, n, m, b, xs, ys); return;
   }
 }
 

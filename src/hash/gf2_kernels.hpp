@@ -18,10 +18,12 @@
 /// reported through the `mcf0_hash_kernel_tier` gauge so `mcf0 serve`
 /// stats show which kernel is live.
 ///
-/// The batch entry point (`HornerBatch`) hoists the tier switch, the
-/// modulus, and the field mask out of the element loop — that
-/// amortization is where most of the batched-absorb speedup comes from
-/// even before the carry-less multiply gets hardware help.
+/// The batch entry points (`HornerBatch`, `ToeplitzAffine`) hoist the
+/// tier switch and the per-call constants (modulus and field mask; the
+/// Toeplitz word geometry) out of the element loop — that amortization
+/// is where most of the batched-absorb speedup comes from even before
+/// the carry-less multiply gets hardware help. `ToeplitzAffine` is the
+/// evaluation path of every H_Toeplitz hash (hash/hash_family.hpp).
 #pragma once
 
 #include <cstdint>
@@ -81,6 +83,27 @@ uint64_t Mul(uint64_t a, uint64_t b, int w, uint64_t mod_low);
 /// Field multiply on an explicit tier (parity tests).
 uint64_t MulWithTier(KernelTier tier, uint64_t a, uint64_t b, int w,
                      uint64_t mod_low);
+
+/// Toeplitz affine map y = T x + b for `count` inputs sharing one m x n
+/// Toeplitz matrix T[i][j] = seed[i - j + n - 1] (gf2/toeplitz.hpp), where
+/// count = xs.size() / ceil(n / 64) = ys.size() / ceil(m / 64).
+///
+/// Every bit string here is in the BitVec layout: position p at bit
+/// 63 - p % 64 of word p / 64, unused tail bits zero (ys' tails are
+/// written zero). Read as one big-endian number, a W-word string is the
+/// polynomial sum_p bit_p z^(64 W - 1 - p), so y_i is coefficient
+/// i + n - 1 of seed(z) x(z) counted from the top: a middle product.
+/// Each output word is a funnel shift of two product words, and each
+/// product word XORs the carry-less products of the seed and input word
+/// pairs that land on it, so one n <= 64, m = 3n evaluation is two
+/// 64x64 carry-less multiplies. `seed` needs ceil((n + m - 1) / 64)
+/// words and `b` ceil(m / 64); longer spans are fine (bits past n + m - 1
+/// only reach rows >= m), which is how a prefix h_l evaluates on the full
+/// seed with m = l. The tier switch and the word geometry are hoisted out
+/// of the input loop. Active tier.
+void ToeplitzAffine(std::span<const uint64_t> seed, int n, int m,
+                    std::span<const uint64_t> b, std::span<const uint64_t> xs,
+                    std::span<uint64_t> ys);
 
 /// Batched Horner evaluation of the degree-(s-1) polynomial with
 /// coefficient masks `coeffs` (constant term first) at each point of

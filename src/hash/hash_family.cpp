@@ -1,32 +1,52 @@
 #include "hash/hash_family.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/rng.hpp"
+#include "hash/gf2_kernels.hpp"
 
 namespace mcf0 {
 
+AffineHash::AffineHash(int n, int m, BitVec seed, BitVec b,
+                       AffineHashKind kind, size_t repr_bits)
+    : n_(n),
+      m_(m),
+      b_(std::move(b)),
+      kind_(kind),
+      repr_bits_(repr_bits),
+      seed_(std::move(seed)),
+      dense_(std::make_shared<Dense>()) {
+  MCF0_CHECK(n >= 1 && m >= 1 && seed_.size() == n + m - 1 &&
+             b_.size() == m);
+}
+
 AffineHash::AffineHash(Gf2Matrix a, BitVec b, AffineHashKind kind,
                        size_t repr_bits)
-    : a_(std::move(a)), b_(std::move(b)), kind_(kind), repr_bits_(repr_bits) {
-  if (a_.cols() <= 64) {
-    packed_rows_.reserve(static_cast<size_t>(a_.rows()));
-    for (int i = 0; i < a_.rows(); ++i) {
-      packed_rows_.push_back(a_.cols() == 0 ? 0 : a_.Row(i).words()[0]);
+    : n_(a.cols()),
+      m_(a.rows()),
+      b_(std::move(b)),
+      kind_(kind),
+      repr_bits_(repr_bits),
+      dense_(std::make_shared<Dense>()) {
+  if (n_ <= 64) {
+    packed_rows_.reserve(static_cast<size_t>(m_));
+    for (int i = 0; i < m_; ++i) {
+      packed_rows_.push_back(n_ == 0 ? 0 : a.Row(i).words()[0]);
     }
   }
+  std::call_once(dense_->built, [&] { dense_->a = std::move(a); });
 }
 
 AffineHash AffineHash::SampleToeplitz(int n, int m, Rng& rng) {
   MCF0_CHECK(n >= 1 && m >= 1);
-  ToeplitzMatrix t = ToeplitzMatrix::Random(m, n, rng);
+  // Seed then offset: the draw order every seeded sketch depends on.
+  BitVec seed = BitVec::Random(n + m - 1, rng);
   BitVec b = BitVec::Random(m, rng);
-  // Densify once: downstream consumers (prefix slices, affine composition,
-  // XOR clause extraction) all need row access; the Theta(n+m) seed size is
-  // what we report as the representation cost.
-  const size_t repr =
-      static_cast<size_t>(t.SeedBits()) + static_cast<size_t>(m);
-  return AffineHash(t.ToDense(), std::move(b), AffineHashKind::kToeplitz, repr);
+  const size_t repr = static_cast<size_t>(seed.size()) + static_cast<size_t>(m);
+  return AffineHash(n, m, std::move(seed), std::move(b),
+                    AffineHashKind::kToeplitz, repr);
 }
 
 AffineHash AffineHash::SampleXor(int n, int m, Rng& rng) {
@@ -58,63 +78,130 @@ AffineHash AffineHash::FromParts(Gf2Matrix a, BitVec b, AffineHashKind kind,
                           : static_cast<size_t>(a.rows()) *
                                     static_cast<size_t>(a.cols()) +
                                 static_cast<size_t>(a.rows());
-  return AffineHash(std::move(a), std::move(b), kind, repr);
+  AffineHash h(std::move(a), std::move(b), kind, repr);
+  if (kind == AffineHashKind::kToeplitz && h.n_ >= 1 && h.m_ >= 1 &&
+      h.HasToeplitzMatrix()) {
+    // Same function, seed form: evaluation takes the middle product, and
+    // operator== can compare seeds with sampled hashes.
+    return AffineHash(h.n_, h.m_, h.ToeplitzSeed(), std::move(h.b_), kind,
+                      repr);
+  }
+  return h;
 }
 
 AffineHash AffineHash::FromToeplitzSeed(int n, int m, const BitVec& seed,
                                         BitVec b, size_t repr_bits) {
   MCF0_CHECK(n >= 1 && m >= 1);
   MCF0_CHECK(seed.size() == n + m - 1);
-  return FromParts(ToeplitzMatrix(m, n, seed).ToDense(), std::move(b),
-                   AffineHashKind::kToeplitz, repr_bits);
+  return AffineHash(n, m, seed, std::move(b), AffineHashKind::kToeplitz,
+                    repr_bits);
+}
+
+const Gf2Matrix& AffineHash::A() const {
+  std::call_once(dense_->built, [this] {
+    dense_->a = ToeplitzMatrix(m_, n_, seed_).ToDense();
+  });
+  return dense_->a;
 }
 
 bool AffineHash::HasToeplitzMatrix() const {
+  if (!seed_.empty()) return true;
   // Constant along diagonals: every entry equals its upper-left neighbor.
-  for (int i = 1; i < m(); ++i) {
-    for (int j = 1; j < n(); ++j) {
-      if (a_.Get(i, j) != a_.Get(i - 1, j - 1)) return false;
+  const Gf2Matrix& a = A();
+  for (int i = 1; i < m_; ++i) {
+    for (int j = 1; j < n_; ++j) {
+      if (a.Get(i, j) != a.Get(i - 1, j - 1)) return false;
     }
   }
   return true;
 }
 
 BitVec AffineHash::ToeplitzSeed() const {
+  if (!seed_.empty()) return seed_;
   MCF0_DCHECK(HasToeplitzMatrix());
   // T[i][j] = seed[i - j + n - 1]: indices [0, n) come from the first row
   // (right to left), indices [n, n + m - 1) run down the first column.
-  BitVec seed(n() + m() - 1);
-  for (int j = 0; j < n(); ++j) seed.Set(n() - 1 - j, a_.Get(0, j));
-  for (int i = 1; i < m(); ++i) seed.Set(i + n() - 1, a_.Get(i, 0));
+  const Gf2Matrix& a = A();
+  BitVec seed(n_ + m_ - 1);
+  for (int j = 0; j < n_; ++j) seed.Set(n_ - 1 - j, a.Get(0, j));
+  for (int i = 1; i < m_; ++i) seed.Set(i + n_ - 1, a.Get(i, 0));
   return seed;
+}
+
+void AffineHash::EvalRowsInto(std::span<const uint64_t> x, int l,
+                              std::span<uint64_t> y) const {
+  if (!seed_.empty()) {
+    gf2k::ToeplitzAffine(seed_.words(), n_, l, b_.words(), x, y);
+    return;
+  }
+  // Row hashes: one word-parallel row dot per output bit.
+  std::fill(y.begin(), y.end(), 0);
+  const Gf2Matrix& a = A();
+  for (int i = 0; i < l; ++i) {
+    const std::vector<uint64_t>& row = a.Row(i).words();
+    uint64_t acc = 0;
+    for (size_t w = 0; w < row.size(); ++w) acc ^= row[w] & x[w];
+    if ((std::popcount(acc) & 1) != static_cast<int>(b_.Get(i))) {
+      y[static_cast<size_t>(i) >> 6] |= 1ull << (63 - (i & 63));
+    }
+  }
+}
+
+BitVec AffineHash::Eval(const BitVec& x) const {
+  MCF0_CHECK(x.size() == n_);
+  std::vector<uint64_t> y(static_cast<size_t>(OutputWords()));
+  EvalRowsInto(x.words(), m_, y);
+  return BitVec::FromWords(m_, std::move(y));
+}
+
+void AffineHash::EvalBatch(std::span<const uint64_t> xs,
+                           std::span<uint64_t> ys) const {
+  MCF0_CHECK(n_ >= 1 && n_ <= 64);
+  const size_t width = static_cast<size_t>(OutputWords());
+  MCF0_CHECK(ys.size() == xs.size() * width);
+  // Elements in the BitVec layout: the low n bits at the top of the word.
+  std::array<uint64_t, 256> packed;
+  for (size_t base = 0; base < xs.size(); base += packed.size()) {
+    const size_t len = std::min(packed.size(), xs.size() - base);
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t x = xs[base + i];
+      packed[i] = n_ == 64 ? x : x << (64 - n_);
+    }
+    const std::span<const uint64_t> block(packed.data(), len);
+    const std::span<uint64_t> out = ys.subspan(base * width, len * width);
+    if (!seed_.empty()) {
+      gf2k::ToeplitzAffine(seed_.words(), n_, m_, b_.words(), block, out);
+    } else {
+      for (size_t i = 0; i < len; ++i) {
+        EvalRowsInto(block.subspan(i, 1), m_, out.subspan(i * width, width));
+      }
+    }
+  }
 }
 
 BitVec AffineHash::EvalPrefix(const BitVec& x, int l) const {
   MCF0_CHECK(l >= 0 && l <= m());
-  BitVec y(l);
-  if (!packed_rows_.empty() || n() == 0) {
-    // Word-sized input: x is one (masked) word, so each output bit is a
-    // single AND + parity against the packed row.
-    const uint64_t xw = x.words().empty() ? 0 : x.words()[0];
-    for (int i = 0; i < l; ++i) {
-      const bool dot = std::popcount(packed_rows_[static_cast<size_t>(i)] & xw) & 1;
-      if (dot != b_.Get(i)) y.Set(i, true);
-    }
-    return y;
-  }
-  for (int i = 0; i < l; ++i) {
-    if (a_.Row(i).DotF2(x) != b_.Get(i)) y.Set(i, true);
-  }
-  return y;
+  MCF0_CHECK(x.size() == n_);
+  std::vector<uint64_t> y(static_cast<size_t>(l + 63) / 64);
+  if (l > 0) EvalRowsInto(x.words(), l, y);
+  return BitVec::FromWords(l, std::move(y));
 }
 
 uint64_t AffineHash::Eval64(uint64_t x) const {
   MCF0_CHECK(n() <= 64 && m() <= 64);
   // Pack x the way BitVec::FromU64 does (big-endian at the top of the
-  // word); each output bit is then parity(row_word & x_word), assembled
-  // most-significant-first to match BitVec::ToU64.
+  // word); the result is the m-bit value most-significant-first, matching
+  // BitVec::ToU64.
   const uint64_t xw =
       (n() == 64) ? x : ((x & ((1ull << n()) - 1)) << (64 - n()));
+  if (!seed_.empty()) {
+    uint64_t y = 0;
+    gf2k::ToeplitzAffine(seed_.words(), n_, m_, b_.words(),
+                         std::span<const uint64_t>(&xw, 1),
+                         std::span<uint64_t>(&y, 1));
+    return m_ == 64 ? y : y >> (64 - m_);
+  }
+  // Row hashes: each output bit is parity(row_word & x_word).
   uint64_t out = 0;
   for (int i = 0; i < m(); ++i) {
     out = (out << 1) |
@@ -126,9 +213,22 @@ uint64_t AffineHash::Eval64(uint64_t x) const {
 
 AffineHash AffineHash::PrefixHash(int l) const {
   MCF0_CHECK(l >= 1 && l <= m());
-  return AffineHash(a_.PrefixRows(l), b_.Prefix(l), kind_, repr_bits_);
+  if (!seed_.empty()) {
+    // Rows [0, l) of a Toeplitz matrix read seed bits [0, n + l - 1).
+    return AffineHash(n_, l, seed_.Prefix(n_ + l - 1), b_.Prefix(l), kind_,
+                      repr_bits_);
+  }
+  return AffineHash(A().PrefixRows(l), b_.Prefix(l), kind_, repr_bits_);
 }
 
 size_t AffineHash::RepresentationBits() const { return repr_bits_; }
+
+bool AffineHash::operator==(const AffineHash& o) const {
+  if (kind_ != o.kind_ || n_ != o.n_ || !(b_ == o.b_)) return false;
+  // A kToeplitz hash is in seed form exactly when its matrix is Toeplitz,
+  // so a seed-form and a row-form hash of one kind never share a matrix.
+  if (!seed_.empty() || !o.seed_.empty()) return seed_ == o.seed_;
+  return A() == o.A();
+}
 
 }  // namespace mcf0

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "gf2/bitvec.hpp"
@@ -31,6 +33,14 @@ class Rng;
 enum class AffineHashKind { kToeplitz, kXor, kSparseXor };
 
 /// One function h(x) = A x + b; see file comment.
+///
+/// A Toeplitz hash is held as its n + m - 1 bit diagonal seed and
+/// evaluates through the carry-less middle product gf2k::ToeplitzAffine,
+/// Theta(n + m) bits and a few word multiplies per input. XOR and sparse
+/// hashes, and kToeplitz FromParts hashes whose matrix is not Toeplitz,
+/// evaluate by their matrix rows. The dense A() of a Toeplitz hash is
+/// built on first use, for the §5 and oracle linear algebra, and shared
+/// by every copy.
 class AffineHash {
  public:
   /// Samples from H_Toeplitz(n, m).
@@ -46,7 +56,9 @@ class AffineHash {
   /// ship hash functions to sites, and by the sketch codec when rehydrating
   /// serialized hash state). `repr_bits` preserves the original
   /// representation cost across a serialize/deserialize round trip; 0 means
-  /// "dense": Theta(n*m + m), correct for (sparse) XOR matrices.
+  /// "dense": Theta(n*m + m), correct for (sparse) XOR matrices. A
+  /// kToeplitz hash whose matrix is Toeplitz keeps only its seed; any
+  /// other matrix keeps its rows.
   static AffineHash FromParts(Gf2Matrix a, BitVec b, AffineHashKind kind,
                               size_t repr_bits = 0);
 
@@ -67,26 +79,37 @@ class AffineHash {
   /// column; see gf2/toeplitz.hpp). Requires HasToeplitzMatrix().
   BitVec ToeplitzSeed() const;
 
-  int n() const { return a_.cols(); }
-  int m() const { return a_.rows(); }
+  int n() const { return n_; }
+  int m() const { return m_; }
   AffineHashKind kind() const { return kind_; }
 
+  /// Words per output value: ceil(m / 64).
+  int OutputWords() const { return (m_ + 63) / 64; }
+
   /// h(x) = A x + b for an n-bit input.
-  BitVec Eval(const BitVec& x) const { return a_.MulAffine(x, b_); }
+  BitVec Eval(const BitVec& x) const;
+
+  /// h applied to each element of `xs` as Eval64 reads it (its low n bits;
+  /// requires n <= 64), written to `ys` OutputWords() words per element in
+  /// the BitVec layout. Toeplitz hashes run one kernel call per block of
+  /// elements; does not allocate.
+  void EvalBatch(std::span<const uint64_t> xs, std::span<uint64_t> ys) const;
 
   /// Prefix slice h_l(x): the first l bits of h(x) (§2).
   BitVec EvalPrefix(const BitVec& x, int l) const;
 
   /// Convenience for word-sized universes (n <= 64): h applied to the n-bit
   /// big-endian encoding of `x`, returned as the m-bit value (requires
-  /// m <= 64). Runs on the packed row words — one AND + popcount-parity
-  /// per output bit, no BitVec allocation.
+  /// m <= 64). No BitVec allocation: the middle product for Toeplitz
+  /// hashes, one AND + popcount-parity per output bit otherwise.
   uint64_t Eval64(uint64_t x) const;
 
   /// The hash restricted to its first l output bits as a standalone hash.
   AffineHash PrefixHash(int l) const;
 
-  const Gf2Matrix& A() const { return a_; }
+  /// The matrix A. A Toeplitz hash builds it from its seed on the first
+  /// call (thread-safe); evaluation never needs it.
+  const Gf2Matrix& A() const;
   const BitVec& b() const { return b_; }
 
   /// Bits needed to represent the sampled function: Theta(n + m) for
@@ -95,22 +118,39 @@ class AffineHash {
 
   /// Same function: identical matrix, offset, and sampling kind. Sketch
   /// merges require both sides to share hash state (§4); this is the check.
-  bool operator==(const AffineHash& o) const {
-    return kind_ == o.kind_ && a_ == o.a_ && b_ == o.b_;
-  }
+  bool operator==(const AffineHash& o) const;
 
  private:
+  /// A, behind a once-flag so a Toeplitz hash can build it lazily.
+  struct Dense {
+    std::once_flag built;
+    Gf2Matrix a;
+  };
+
+  AffineHash(int n, int m, BitVec seed, BitVec b, AffineHashKind kind,
+             size_t repr_bits);
   AffineHash(Gf2Matrix a, BitVec b, AffineHashKind kind, size_t repr_bits);
 
-  Gf2Matrix a_;
+  /// The first l bits of h(x) into `y` (ceil(l / 64) words).
+  void EvalRowsInto(std::span<const uint64_t> x, int l,
+                    std::span<uint64_t> y) const;
+
+  int n_ = 0;
+  int m_ = 0;
   BitVec b_;
   AffineHashKind kind_;
   size_t repr_bits_;
-  /// When n <= 64, row i of A packed into one word (the BitVec layout:
-  /// input bit j at word bit 63 - j). Built once at construction so
-  /// Eval64 / EvalPrefix on word-sized universes are AND + parity per
-  /// output bit. Empty when n > 64. Derived state — not part of
-  /// operator== or any serialized form.
+  /// Toeplitz hashes: the diagonal seed, the only state evaluation reads.
+  /// Empty for hashes that evaluate by their matrix rows.
+  BitVec seed_;
+  /// A: the evaluation matrix of a row hash, built at construction; the
+  /// lazily densified seed of a Toeplitz hash. Shared by copies (A is
+  /// immutable once built). Not part of any serialized form.
+  std::shared_ptr<Dense> dense_;
+  /// Row hashes with n <= 64: row i of A packed into one word (the BitVec
+  /// layout: input bit j at word bit 63 - j), so Eval64 — the FM rows' hot
+  /// path — is AND + parity per output bit. Empty otherwise. Derived state
+  /// — not part of operator== or any serialized form.
   std::vector<uint64_t> packed_rows_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "setstream/range_to_dnf.hpp"
+
 namespace mcf0 {
 namespace net {
 
@@ -262,6 +264,10 @@ Status DecodeStructuredItem(ByteReader& r, int n, StructuredItem* out) {
       MultiDimRange range(std::move(bits));
       for (uint64_t j = 0; j < dims; ++j) {
         range.SetDim(static_cast<int>(j), ranges[j]);
+      }
+      if (RangeTermEnumerator(range).LiteralBound() >
+          kMaxRangeExpansionLiterals) {
+        return Malformed("structured range expands to too many terms");
       }
       *out = std::move(range);
       return Status::Ok();

@@ -23,6 +23,17 @@ class Rng;
 /// too wide is refused where it is parsed instead of aborting later.
 inline constexpr int kMaxRangeDimensionBits = 62;
 
+/// Most literals one range item may expand to under Lemma 4, bounded as
+/// its term count times its total bits (RangeTermEnumerator::
+/// LiteralBound). A d-dimensional item expands to the product of its
+/// per-dimension dyadic piece counts, up to 2 (bits - 1) each, so width
+/// alone does not bound it. 2^22 literals is about 32 MiB of Lit: it
+/// admits every 2-D range of 62-bit dimensions (at most 14,884 terms) and
+/// refuses 3-D ones (up to 1.8e6 terms). The serve protocol's item decoder
+/// and the CLI range reader refuse a larger item where it is parsed;
+/// StructuredF0::AddRange asserts the bound.
+inline constexpr uint64_t kMaxRangeExpansionLiterals = uint64_t{1} << 22;
+
 /// One dimension: the inclusive range [lo, hi] with a power-of-two step.
 struct DimRange {
   uint64_t lo = 0;

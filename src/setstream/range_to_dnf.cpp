@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 
 namespace mcf0 {
 namespace {
@@ -67,12 +68,26 @@ RangeTermEnumerator::RangeTermEnumerator(const MultiDimRange& range) {
   }
 }
 
+namespace {
+
+/// a * b, or UINT64_MAX when the product does not fit.
+uint64_t SaturatingMul(uint64_t a, uint64_t b) {
+  uint64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? UINT64_MAX : product;
+}
+
+}  // namespace
+
 uint64_t RangeTermEnumerator::NumTerms() const {
   uint64_t count = 1;
   for (const auto& terms : per_dim_) {
-    count *= static_cast<uint64_t>(terms.size());
+    count = SaturatingMul(count, static_cast<uint64_t>(terms.size()));
   }
   return count;
+}
+
+uint64_t RangeTermEnumerator::LiteralBound() const {
+  return SaturatingMul(NumTerms(), static_cast<uint64_t>(num_vars_));
 }
 
 Term RangeTermEnumerator::TermAt(uint64_t i) const {

@@ -36,8 +36,13 @@ class RangeTermEnumerator {
  public:
   explicit RangeTermEnumerator(const MultiDimRange& range);
 
-  /// Number of product terms (<= prod_j 2 n_j).
+  /// Number of product terms (<= prod_j 2 n_j), saturating at UINT64_MAX
+  /// instead of wrapping (ten 62-bit dimensions have about 7.3e20).
   uint64_t NumTerms() const;
+
+  /// NumTerms() times num_vars(), saturating: a bound on the literals
+  /// AllTerms() materializes, checked against kMaxRangeExpansionLiterals.
+  uint64_t LiteralBound() const;
 
   /// The i-th product term, i < NumTerms().
   Term TermAt(uint64_t i) const;

@@ -185,7 +185,9 @@ void StructuredF0::AddTerms(const std::vector<Term>& terms) {
     UnionLexEnumerator merge(std::move(images));
     for (uint64_t i = 0; i < thresh_; ++i) {
       auto v = merge.Next();
-      if (!v.has_value()) break;
+      // Values arrive ascending: once one is not below a full row's max,
+      // no later one can enter the row either.
+      if (!v.has_value() || !row.Admits(v->words())) break;
       row.AddHashed(*v);
     }
   }
@@ -236,6 +238,7 @@ void StructuredF0::BucketAddAffine(StructuredBucketRow* row,
 void StructuredF0::AddRange(const MultiDimRange& range) {
   MCF0_CHECK(range.TotalBits() == params_.n);
   RangeTermEnumerator terms(range);
+  MCF0_CHECK(terms.LiteralBound() <= kMaxRangeExpansionLiterals);
   AddTerms(terms.AllTerms());
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -72,52 +73,112 @@ size_t BucketingSketchRow::SpaceBits() const {
 
 // ---- MinimumSketchRow ---------------------------------------------------
 
+namespace {
+
+/// a < b for two values of `width` words, most significant word first.
+bool WordsLess(const uint64_t* a, const uint64_t* b, size_t width) {
+  for (size_t w = 0; w < width; ++w) {
+    if (a[w] != b[w]) return a[w] < b[w];
+  }
+  return false;
+}
+
+}  // namespace
+
+BitVec KmvValues::Iterator::operator*() const {
+  return BitVec::FromWords(
+      bits_, std::vector<uint64_t>(at_, at_ + (bits_ + 63) / 64));
+}
+
+BitVec KmvValues::operator[](size_t k) const {
+  return *Iterator(Words(k).data(), bits_);
+}
+
 MinimumSketchRow::MinimumSketchRow(int n, uint64_t thresh, Rng& rng)
-    : n_(n), thresh_(thresh), h_(AffineHash::SampleToeplitz(n, 3 * n, rng)) {
+    : MinimumSketchRow(AffineHash::SampleToeplitz(n, 3 * n, rng), thresh) {
   MCF0_CHECK(n >= 1 && n <= 64);
-  MCF0_CHECK(thresh >= 1);
 }
 
 MinimumSketchRow::MinimumSketchRow(AffineHash h, uint64_t thresh)
-    : n_(h.n()), thresh_(thresh), h_(std::move(h)) {
+    : n_(h.n()),
+      thresh_(thresh),
+      h_(std::move(h)),
+      width_(static_cast<size_t>(h_.OutputWords())),
+      full_words_(thresh > SIZE_MAX / width_ ? SIZE_MAX : thresh * width_) {
   MCF0_CHECK(thresh >= 1);
 }
 
 void MinimumSketchRow::Add(uint64_t x) {
-  AddHashed(
-      h_.Eval(BitVec::FromU64(n_ == 64 ? x : (x & ((1ull << n_) - 1)), n_)));
+  Add(std::span<const uint64_t>(&x, 1));
 }
 
 void MinimumSketchRow::Add(std::span<const uint64_t> xs) {
-  for (const uint64_t x : xs) Add(x);
+  // Hash a block of items into stack words, then insert; a full row
+  // rejects most values on one compare against its max. Blocks shrink
+  // for wide outputs so the scratch stays on the stack.
+  std::array<uint64_t, 768> hashed;
+  MCF0_CHECK(width_ <= hashed.size());
+  const size_t block = hashed.size() / width_;
+  for (size_t base = 0; base < xs.size(); base += block) {
+    const size_t len = std::min(block, xs.size() - base);
+    const std::span<uint64_t> out(hashed.data(), len * width_);
+    h_.EvalBatch(xs.subspan(base, len), out);
+    for (size_t i = 0; i < len; ++i) {
+      AddHashedWords(out.subspan(i * width_, width_));
+    }
+  }
 }
 
 void MinimumSketchRow::AddHashed(const BitVec& value) {
-  MCF0_DCHECK(value.size() == h_.m());
-  if (values_.size() >= thresh_) {
-    auto last = std::prev(values_.end());
-    if (!(value < *last)) return;  // not among the thresh smallest
-    values_.insert(value);
-    if (values_.size() > thresh_) values_.erase(std::prev(values_.end()));
-  } else {
-    values_.insert(value);
+  MCF0_CHECK(value.size() == h_.m());
+  AddHashedWords(value.words());
+}
+
+bool MinimumSketchRow::Admits(std::span<const uint64_t> value) const {
+  MCF0_CHECK(value.size() == width_);
+  return !saturated() ||
+         WordsLess(value.data(), words_.data() + words_.size() - width_,
+                   width_);
+}
+
+void MinimumSketchRow::AddHashedWords(std::span<const uint64_t> value) {
+  if (!Admits(value)) return;  // not among the thresh smallest
+  // Binary search (in values) for the first kept value >= value.
+  size_t lo = 0;
+  size_t hi = words_.size() / width_;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (WordsLess(words_.data() + mid * width_, value.data(), width_)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
+  const auto at = words_.begin() + static_cast<ptrdiff_t>(lo * width_);
+  if (at != words_.end() && std::equal(value.begin(), value.end(), at)) {
+    return;  // already kept
+  }
+  // Full: value < max, so dropping the max leaves lo in range.
+  if (saturated()) words_.resize(words_.size() - width_);
+  words_.insert(words_.begin() + static_cast<ptrdiff_t>(lo * width_),
+                value.begin(), value.end());
 }
 
 double MinimumSketchRow::Estimate() const {
-  if (values_.size() < thresh_) {
+  const KmvValues kept = values();
+  if (kept.size() < thresh_) {
     // Sub-threshold regime: every distinct hash value is retained, so the
     // sketch size itself is the (collision-free w.h.p. at 3n bits) count.
-    return static_cast<double>(values_.size());
+    return static_cast<double>(kept.size());
   }
-  const BitVec& max = *values_.rbegin();
-  const double max_value = max.ToDouble();
+  const double max_value = kept[kept.size() - 1].ToDouble();
   MCF0_DCHECK(max_value > 0.0);
   return static_cast<double>(thresh_) * std::pow(2.0, h_.m()) / max_value;
 }
 
 size_t MinimumSketchRow::SpaceBits() const {
-  return values_.size() * static_cast<size_t>(h_.m()) + h_.RepresentationBits();
+  return values().size() * static_cast<size_t>(h_.m()) +
+         h_.RepresentationBits();
 }
 
 // ---- EstimationSketchRow ------------------------------------------------

@@ -19,9 +19,10 @@
 /// actual sketch footprints rather than asymptotics.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -78,8 +79,69 @@ class BucketingSketchRow {
   std::unordered_set<uint64_t> bucket_;
 };
 
+/// The values a Minimum row retains, ascending, as a read-only view of
+/// the row's flat word array: value k is words [k W, (k + 1) W) in the
+/// BitVec layout, W = ceil(m / 64). Big-endian word order makes word-wise
+/// lexicographic order the BitVec (numeric) order, so one layout serves
+/// raw and structured rows of every width. Iterating yields BitVec copies;
+/// two views compare equal iff they hold the same values.
+class KmvValues {
+ public:
+  class Iterator {
+   public:
+    using value_type = BitVec;
+    using difference_type = std::ptrdiff_t;
+    Iterator() = default;
+    Iterator(const uint64_t* at, int bits) : at_(at), bits_(bits) {}
+    BitVec operator*() const;
+    Iterator& operator++() {
+      at_ += (bits_ + 63) / 64;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const Iterator& o) const { return at_ == o.at_; }
+
+   private:
+    const uint64_t* at_ = nullptr;
+    int bits_ = 0;
+  };
+
+  KmvValues(std::span<const uint64_t> words, int bits)
+      : words_(words), bits_(bits) {}
+
+  size_t size() const { return words_.size() / width(); }
+  bool empty() const { return words_.empty(); }
+  /// Words per value.
+  size_t width() const { return static_cast<size_t>(bits_ + 63) / 64; }
+  /// Every value's words, ascending.
+  std::span<const uint64_t> words() const { return words_; }
+  /// Value k's words.
+  std::span<const uint64_t> Words(size_t k) const {
+    return words_.subspan(k * width(), width());
+  }
+  /// Value k as a BitVec.
+  BitVec operator[](size_t k) const;
+  Iterator begin() const { return Iterator(words_.data(), bits_); }
+  Iterator end() const {
+    return Iterator(words_.data() + words_.size(), bits_);
+  }
+
+  friend bool operator==(const KmvValues& a, const KmvValues& b) {
+    return a.bits_ == b.bits_ && std::ranges::equal(a.words_, b.words_);
+  }
+
+ private:
+  std::span<const uint64_t> words_;
+  int bits_;
+};
+
 /// One Minimum (KMV) row: the `thresh` lexicographically smallest distinct
-/// values of h(a) for h: {0,1}^n -> {0,1}^{3n}.
+/// values of h(a) for h: {0,1}^n -> {0,1}^{3n}, kept as one flat sorted
+/// array of ceil(m / 64)-word values (KmvValues has the layout).
 class MinimumSketchRow {
  public:
   MinimumSketchRow(int n, uint64_t thresh, Rng& rng);
@@ -91,7 +153,8 @@ class MinimumSketchRow {
 
   void Add(uint64_t x);
 
-  /// Batch absorb; byte-identical to item-by-item Add (set insertion is
+  /// Batch absorb: hashes a stack block of items through one kernel call,
+  /// then inserts. Byte-identical to item-by-item Add (set insertion is
   /// order-independent).
   void Add(std::span<const uint64_t> xs);
 
@@ -100,11 +163,21 @@ class MinimumSketchRow {
   /// coordinator (§4), which receive hash values rather than elements.
   void AddHashed(const BitVec& value);
 
+  /// AddHashed on one value's words (KmvValues layout). A full row drops
+  /// a value that is not below its max before touching the array.
+  void AddHashedWords(std::span<const uint64_t> value);
+
+  /// True iff the row has room or `value` (one value's words) lies below
+  /// its max: AddHashed leaves the row unchanged for every other value.
+  /// Values fed in ascending order can stop at the first one this
+  /// rejects.
+  bool Admits(std::span<const uint64_t> value) const;
+
   /// thresh * 2^m / max(S) when saturated; |S| (exact regime) otherwise.
   double Estimate() const;
 
-  bool saturated() const { return values_.size() >= thresh_; }
-  const std::set<BitVec>& values() const { return values_; }
+  bool saturated() const { return words_.size() >= full_words_; }
+  KmvValues values() const { return KmvValues(words_, h_.m()); }
   uint64_t thresh() const { return thresh_; }
   size_t SpaceBits() const;
   int output_bits() const { return h_.m(); }
@@ -114,7 +187,12 @@ class MinimumSketchRow {
   int n_;
   uint64_t thresh_;
   AffineHash h_;  // n -> 3n
-  std::set<BitVec> values_;
+  /// Words per value, and words_.size() once thresh values are kept
+  /// (saturating): saturated() without a division.
+  size_t width_;
+  size_t full_words_;
+  /// The retained values, ascending, width_ words each.
+  std::vector<uint64_t> words_;
 };
 
 /// One Estimation row: `num_cols` s-wise independent hash functions; cell j

@@ -624,6 +624,17 @@ TEST(CliTest, StructuredSketchUsageErrors) {
               1)
         << header;
   }
+  // A range item whose Lemma 4 expansion passes the literal cap (three
+  // 62-bit dimensions, 122^3 terms) is refused where it is read.
+  const std::string deep_range = WriteFixture(
+      "deep_range.txt",
+      "p range 3 62\n1 4611686018427387902 1 4611686018427387902 "
+      "1 4611686018427387902\n");
+  const RunOutput deep = RunCli("sketch build --input range --out x.mcf0 " +
+                                deep_range + " 2>&1");
+  EXPECT_EQ(deep.exit_code, 1);
+  EXPECT_NE(deep.stdout_text.find("literals"), std::string::npos)
+      << deep.stdout_text;
   // Affine parse errors are runtime failures, not aborts: missing item
   // header, truncated matrix, wrong row width, mismatched n.
   for (const char* bad : {"1000\n0\n",                    // no `a` header

@@ -710,9 +710,13 @@ TEST(ShardedStructuredEngineTest, SnapshotDuringIngestionConverges) {
 
   ShardedStructuredEngine engine(params, 3);
   std::atomic<bool> done{false};
-  std::thread querier([&engine, &done] {
+  // The first snapshot builds the cached union; the draw pin below needs
+  // it built by the querier, however late that thread is scheduled.
+  std::atomic<bool> queried{false};
+  std::thread querier([&engine, &done, &queried] {
     while (!done.load(std::memory_order_acquire)) {
       EXPECT_GE(engine.SnapshotEstimate(), 0.0);
+      queried.store(true, std::memory_order_release);
     }
   });
   auto producer = engine.MakeProducer();
@@ -720,6 +724,7 @@ TEST(ShardedStructuredEngineTest, SnapshotDuringIngestionConverges) {
     producer.Add(StructuredItem(std::vector<Term>{t}));
   }
   producer.Flush();
+  while (!queried.load(std::memory_order_acquire)) std::this_thread::yield();
   done.store(true, std::memory_order_release);
   querier.join();
   // The drained sketch is a copy of the cached union: no replica drawn.

@@ -1,9 +1,10 @@
 // Parity and byte-identity tests for the gf2k kernel layer
 // (src/hash/gf2_kernels): the hardware tiers must agree with the
-// portable reference bit-for-bit on every field width, the packed
-// Toeplitz / affine fast paths must agree with their per-bit
-// references, and a sketch built through the span-Add batch surface
-// must encode to exactly the bytes of an item-by-item build.
+// portable reference bit-for-bit on every field width, the Toeplitz
+// middle product and the packed affine fast paths must agree with their
+// dense / per-bit references, and a sketch built through the span-Add
+// batch surface must encode to exactly the bytes of an item-by-item
+// build.
 //
 // Hardware-tier cases skip with a note when this CPU lacks the tier —
 // the CI force-portable leg runs the same binary with
@@ -15,6 +16,8 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -159,13 +162,19 @@ TEST(PackedToeplitzTest, RowMatchesGetReference) {
 }
 
 TEST(PackedToeplitzTest, MulMatchesRowDotReference) {
+  // The middle-product kernel with a zero offset is T x.
   Rng rng(32);
   for (const auto& [m, n] : {std::pair{1, 1}, {5, 9}, {24, 24}, {64, 64},
                             {100, 131}, {131, 100}}) {
-    const ToeplitzMatrix t = ToeplitzMatrix::Random(m, n, rng);
+    const BitVec seed = BitVec::Random(m + n - 1, rng);
+    const ToeplitzMatrix t(m, n, seed);
+    const BitVec zero(m);
     for (int trial = 0; trial < 8; ++trial) {
       const BitVec x = BitVec::Random(n, rng);
-      const BitVec y = t.Mul(x);
+      std::vector<uint64_t> words(static_cast<size_t>(m + 63) / 64);
+      gf2k::ToeplitzAffine(seed.words(), n, m, zero.words(), x.words(),
+                           words);
+      const BitVec y = BitVec::FromWords(m, words);
       ASSERT_EQ(y.size(), m);
       for (int i = 0; i < m; ++i) {
         bool acc = false;
@@ -187,6 +196,77 @@ TEST(PackedToeplitzTest, SliceMatchesPerBitReference) {
     for (int i = 0; i < len; ++i) {
       ASSERT_EQ(s.Get(i), v.Get(start + i)) << "start=" << start
                                             << " len=" << len << " i=" << i;
+    }
+  }
+}
+
+// ---- Toeplitz middle product -----------------------------------------------
+
+TEST(ToeplitzKernelTest, EveryEvalPathMatchesTheDenseProductOnEveryTier) {
+  // The middle product on the seed against the dense m x n product A x + b,
+  // for every n in 1..64 with m in {1, n, 3n, 192} and for wide inputs
+  // n in {65, 128, 200} with m = 3n (plus one-word inputs with m = 300,
+  // five output words): Eval, EvalPrefix and a multi-input kernel batch
+  // always; EvalBatch, Eval64 and Bucketing's InCell where the word
+  // universe allows them.
+  std::vector<std::pair<int, int>> shapes;
+  for (int n = 1; n <= 64; ++n) {
+    for (const int m : {1, n, 3 * n, 192}) shapes.emplace_back(n, m);
+  }
+  for (const int n : {65, 128, 200}) shapes.emplace_back(n, 3 * n);
+  shapes.emplace_back(12, 300);
+  shapes.emplace_back(64, 300);
+  Rng rng(41);
+  for (const auto& [n, m] : shapes) {
+    const AffineHash h = AffineHash::SampleToeplitz(n, m, rng);
+    const Gf2Matrix dense = ToeplitzMatrix(m, n, h.ToeplitzSeed()).ToDense();
+    const size_t wx = static_cast<size_t>(n + 63) / 64;
+    const size_t wy = static_cast<size_t>(h.OutputWords());
+    std::vector<BitVec> xs;
+    std::vector<uint64_t> x_words;
+    for (int trial = 0; trial < 5; ++trial) {
+      xs.push_back(BitVec::Random(n, rng));
+      x_words.insert(x_words.end(), xs.back().words().begin(),
+                     xs.back().words().end());
+    }
+    for (const KernelTier tier :
+         {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull}) {
+      if (!gf2k::KernelTierAvailable(tier)) continue;
+      ScopedTier force(tier);
+      const std::string where = "n=" + std::to_string(n) +
+                                " m=" + std::to_string(m) +
+                                " tier=" + gf2k::KernelTierName(tier);
+      std::vector<uint64_t> batch(xs.size() * wy);
+      gf2k::ToeplitzAffine(h.ToeplitzSeed().words(), n, m, h.b().words(),
+                           x_words, batch);
+      for (size_t t = 0; t < xs.size(); ++t) {
+        const BitVec& x = xs[t];
+        const BitVec want = dense.MulAffine(x, h.b());
+        ASSERT_EQ(h.Eval(x), want) << where;
+        ASSERT_EQ(BitVec::FromWords(
+                      m, std::vector<uint64_t>(batch.begin() + t * wy,
+                                               batch.begin() + (t + 1) * wy)),
+                  want)
+            << where;
+        for (const int l : {0, 1, m / 2, m}) {
+          ASSERT_EQ(h.EvalPrefix(x, l), want.Prefix(l)) << where << " l=" << l;
+        }
+        if (wx != 1) continue;
+        const uint64_t word = x.ToU64();
+        std::vector<uint64_t> y(wy);
+        h.EvalBatch(std::span<const uint64_t>(&word, 1), y);
+        ASSERT_EQ(BitVec::FromWords(m, y), want) << where;
+        if (m <= 64) {
+          ASSERT_EQ(h.Eval64(word), want.ToU64()) << where;
+        }
+        if (m == n) {
+          const BucketingSketchRow row(h, 1, 0, {});
+          for (int level = 0; level <= n; ++level) {
+            ASSERT_EQ(row.InCell(word, level), want.Prefix(level).IsZero())
+                << where << " level=" << level;
+          }
+        }
+      }
     }
   }
 }

@@ -395,6 +395,34 @@ TEST(NetProtocol, StructuredItemRejectsRangeDimensionsWiderThan62Bits) {
   }
 }
 
+TEST(NetProtocol, StructuredItemRejectsRangesThatExpandPastTheLiteralCap) {
+  // Three 62-bit dimensions, each [1, 2^62 - 2], expand to 122^3 Lemma 4
+  // terms of 186 bits — far past kMaxRangeExpansionLiterals — so the
+  // decoder refuses the item before an engine worker materializes it.
+  // Two such dimensions (14,884 terms) stay within the cap.
+  for (const int dims : {2, 3}) {
+    wire::ByteWriter w;
+    w.U8(1);  // range
+    w.Varint(static_cast<uint64_t>(dims));
+    for (int j = 0; j < dims; ++j) {
+      w.Varint(62);
+      w.Varint(1);                       // lo
+      w.Varint((uint64_t{1} << 62) - 2);  // hi
+      w.Varint(0);                       // step
+    }
+    const std::string bytes = w.Take();
+    wire::ByteReader r(bytes);
+    StructuredItem item;
+    const Status status = DecodeStructuredItem(r, 62 * dims, &item);
+    if (dims == 2) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kParseError);
+      EXPECT_NE(status.message().find("too many terms"), std::string::npos);
+    }
+  }
+}
+
 TEST(NetProtocol, StructuredItemRejectsAffineRankOutsideUniverse) {
   // rank must stay in [1, n]: rank 0 constrains nothing and rank > n
   // would make StructuredF0's AddAffine abort.

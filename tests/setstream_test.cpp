@@ -100,6 +100,27 @@ TEST(RangeTermEnumerator, ProductCountAndConsistency) {
   }
 }
 
+TEST(RangeTermEnumerator, NumTermsSaturatesInsteadOfWrapping) {
+  // Ten 62-bit dimensions of [1, 2^62 - 2] have 122 dyadic pieces each:
+  // 122^10 ~ 7.3e20 terms, past 2^64. The count saturates (it used to
+  // wrap to 1.1e19), and so does the literal bound built on it.
+  MultiDimRange range(10, 62);
+  for (int j = 0; j < 10; ++j) {
+    range.SetDim(j, DimRange{1, (uint64_t{1} << 62) - 2, 0});
+  }
+  const RangeTermEnumerator terms(range);
+  EXPECT_EQ(terms.NumTerms(), UINT64_MAX);
+  EXPECT_EQ(terms.LiteralBound(), UINT64_MAX);
+
+  MultiDimRange two(2, 62);
+  for (int j = 0; j < 2; ++j) {
+    two.SetDim(j, DimRange{1, (uint64_t{1} << 62) - 2, 0});
+  }
+  EXPECT_EQ(RangeTermEnumerator(two).NumTerms(), 122u * 122u);
+  EXPECT_LE(RangeTermEnumerator(two).LiteralBound(),
+            kMaxRangeExpansionLiterals);
+}
+
 TEST(MultiDimRange, VolumeAndContains) {
   MultiDimRange r(2, 8);
   r.SetDim(0, DimRange{10, 20, 0});

@@ -8,10 +8,14 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
+#include <span>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "engine/sketch_codec.hpp"
+#include "engine/sketch_merge.hpp"
 
 namespace mcf0 {
 namespace {
@@ -213,6 +217,71 @@ TEST(MinimumSketchRow, KeepsExactlyThreshSmallest) {
   ASSERT_EQ(row.values().size(), 20u);
   auto it = row.values().begin();
   for (int i = 0; i < 20; ++i, ++it) EXPECT_EQ(*it, hashes[i]);
+}
+
+TEST(MinimumSketchRow, FlatRowMatchesSetModel) {
+  // The flat sorted-word row against a std::set<BitVec> model under
+  // random AddHashed / Add / span-Add / Merge sequences: deduplication,
+  // truncation to Thresh and ascending order, for value widths on both
+  // sides of every word boundary.
+  for (const int m : {1, 63, 64, 65, 96, 192, 300}) {
+    Rng rng(static_cast<uint64_t>(100 + m));
+    const int n = std::min(m, 12);
+    const AffineHash h = AffineHash::SampleToeplitz(n, m, rng);
+    const uint64_t thresh = 1 + rng.NextBelow(30);
+    MinimumSketchRow row(h, thresh);
+    MinimumSketchRow other(h, thresh);
+    std::set<BitVec> model;
+    std::set<BitVec> other_model;
+    const auto insert = [thresh](std::set<BitVec>& s, const BitVec& v) {
+      s.insert(v);
+      if (s.size() > thresh) s.erase(std::prev(s.end()));
+    };
+    // Small supports make repeats common.
+    const auto random_value = [&] {
+      return rng.NextBelow(2) == 0 ? BitVec::Random(m, rng)
+                                   : h.Eval(BitVec::FromU64(
+                                         rng.NextBelow(uint64_t{1} << n), n));
+    };
+    for (int step = 0; step < 400; ++step) {
+      switch (rng.NextBelow(4)) {
+        case 0: {
+          const BitVec v = random_value();
+          row.AddHashed(v);
+          insert(model, v);
+          break;
+        }
+        case 1: {
+          const uint64_t x = rng.NextBelow(64);
+          row.Add(x);
+          insert(model, h.Eval(BitVec::FromU64(x & ((uint64_t{1} << n) - 1), n)));
+          break;
+        }
+        case 2: {
+          std::vector<uint64_t> xs(1 + rng.NextBelow(9));
+          for (uint64_t& x : xs) x = rng.NextU64();
+          row.Add(std::span<const uint64_t>(xs));
+          for (const uint64_t x : xs) {
+            insert(model,
+                   h.Eval(BitVec::FromU64(x & ((uint64_t{1} << n) - 1), n)));
+          }
+          break;
+        }
+        default: {
+          const BitVec v = random_value();
+          other.AddHashed(v);
+          insert(other_model, v);
+          ASSERT_TRUE(Merge(row, other).ok());
+          for (const BitVec& w : other_model) insert(model, w);
+          break;
+        }
+      }
+      const std::vector<BitVec> want(model.begin(), model.end());
+      const std::vector<BitVec> got(row.values().begin(), row.values().end());
+      ASSERT_EQ(got, want) << "m=" << m << " step=" << step;
+      ASSERT_EQ(row.saturated(), model.size() >= thresh);
+    }
+  }
 }
 
 TEST(MinimumSketchRow, SubThresholdIsExactCount) {

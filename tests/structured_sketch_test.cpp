@@ -20,6 +20,9 @@
 #include "engine/sketch_merge.hpp"
 #include "engine/wire.hpp"
 #include "formula/formula.hpp"
+#include "gf2/affine_image.hpp"
+#include "oracle/find_min.hpp"
+#include "setstream/range_to_dnf.hpp"
 #include "setstream/structured_f0.hpp"
 #include "streaming/f0_sketch.hpp"
 
@@ -88,6 +91,50 @@ Result<StructuredBucketRow> DecodeRowBytes(std::string_view bytes) {
 }
 
 // ---- codec round trips ----------------------------------------------------
+
+TEST(StructuredSketchTest, FullRowEarlyExitKeepsValuesAndBytes) {
+  // AddTerms stops pulling a range's values once they pass a full row's
+  // max. Replaying the loop without that exit (each of the Thresh
+  // smallest values through AddHashed) on the same rows must leave the
+  // same values and encode the same bytes.
+  StructuredF0Params params;
+  params.n = 16;
+  params.seed = 5;
+  params.thresh_override = 20;
+  params.rows_override = 3;
+  Rng rng(77);
+  std::vector<MultiDimRange> ranges;
+  for (int i = 0; i < 4; ++i) ranges.push_back(MultiDimRange::Random(2, 8, rng));
+
+  StructuredF0 early(params);
+  for (const MultiDimRange& range : ranges) early.AddRange(range);
+  for (const MinimumSketchRow& row : early.minimum_rows()) {
+    ASSERT_TRUE(row.saturated());
+  }
+
+  StructuredF0::Parts parts = StructuredF0(params).ReleaseParts();
+  for (const MultiDimRange& range : ranges) {
+    const std::vector<Term> terms = RangeTermEnumerator(range).AllTerms();
+    for (MinimumSketchRow& row : parts.minimum) {
+      std::vector<AffineImage> images;
+      for (const Term& t : terms) {
+        images.push_back(TermImageUnderHash(t, params.n, row.hash()));
+      }
+      UnionLexEnumerator merge(std::move(images));
+      for (uint64_t i = 0; i < params.thresh_override; ++i) {
+        std::optional<BitVec> v = merge.Next();
+        if (!v.has_value()) break;
+        row.AddHashed(*v);
+      }
+    }
+  }
+  const StructuredF0 full = StructuredF0::FromParts(std::move(parts));
+  for (size_t r = 0; r < full.minimum_rows().size(); ++r) {
+    EXPECT_EQ(early.minimum_rows()[r].values(), full.minimum_rows()[r].values())
+        << "row " << r;
+  }
+  EXPECT_EQ(SketchCodec::Encode(early), SketchCodec::Encode(full));
+}
 
 TEST(StructuredSketchCodecTest, RoundTripsBothAlgorithms) {
   for (const StructuredF0Algorithm algorithm : kBothAlgorithms) {

@@ -63,6 +63,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
+#include "setstream/range_to_dnf.hpp"
 #include "setstream/structured_f0.hpp"
 #include "streaming/f0_sketch.hpp"
 
@@ -766,6 +767,12 @@ std::vector<MultiDimRange> ParseRangeFileOrDie(const std::string& text,
     }
     std::string extra;
     if (row >> extra) Fail("trailing tokens on range line");
+    if (RangeTermEnumerator(range).LiteralBound() >
+        kMaxRangeExpansionLiterals) {
+      Fail("range item expands to more than " +
+           std::to_string(kMaxRangeExpansionLiterals) +
+           " literals (Lemma 4 terms x bits)");
+    }
     items.push_back(std::move(range));
   }
   if (!have_header) {
