@@ -40,7 +40,7 @@ AffineHash ReverseHash(const AffineHash& h) {
   Gf2Matrix a(h.m(), h.n());
   BitVec b(h.m());
   for (int i = 0; i < h.m(); ++i) {
-    a.MutableRow(i) = h.A().Row(h.m() - 1 - i);
+    a.MutableRow(i) = h.Row(h.m() - 1 - i);
     b.Set(i, h.b().Get(h.m() - 1 - i));
   }
   return AffineHash::FromParts(std::move(a), std::move(b), h.kind());

@@ -306,9 +306,10 @@ Result<StructuredF0> SketchCodec::DecodeStructuredF0(std::string_view bytes) {
   if (!status.ok()) return status;
   std::optional<StructuredF0RowSampler> sampler;
   if (elided) {
-    // The replay densifies one Toeplitz hash of up to n x 3n bits per
-    // row from the untrusted parameter block alone; bound n before the
-    // first sample (the encoder honors the same cap by embedding).
+    // The replay samples one Toeplitz hash per row, whose columns expand
+    // to n x 3n bits, from the untrusted parameter block alone; bound n
+    // before the first sample (the encoder honors the same cap by
+    // embedding).
     if (static_cast<uint64_t>(params.n) >
         wire::kMaxElidedStructuredUniverseBits) {
       return Status::ParseError(

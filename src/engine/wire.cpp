@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "gf2/bitvec.hpp"
@@ -59,8 +60,8 @@ Status DecodeAscendingU64Set(ByteReader& r, uint64_t count, uint64_t max,
 /// values are hash outputs, so storing one n-bit preimage per value beats
 /// storing the m = 3n bit value — the decoder just re-hashes.
 ///
-/// Construction reads A's columns as h(e_j) + b (one kernel batch over
-/// the unit inputs, no dense matrix) and reduces them left to right into
+/// Construction reads A's columns (AffineHash::Columns: seed windows for
+/// a Toeplitz hash, no dense matrix) and reduces them left to right into
 /// a fully reduced basis: column j becomes a pivot iff it is independent
 /// of columns < j — the pivot columns of A's reduced row echelon form, so
 /// "free variables zero" means the same x as ever — and every pivot bit
@@ -73,14 +74,9 @@ class PreimageSolver {
       : h_(h), width_(static_cast<size_t>(h.OutputWords())) {
     const size_t n = static_cast<size_t>(h.n());
     MCF0_CHECK(n <= 64);
-    // Unit input j as Eval64 reads it: bit n - 1 - j of the integer.
-    std::vector<uint64_t> units(n);
-    for (size_t j = 0; j < n; ++j) units[j] = 1ull << (n - 1 - j);
-    std::vector<uint64_t> columns(n * width_);
-    h.EvalBatch(units, columns);
+    std::vector<uint64_t> columns = h.Columns();
     for (size_t j = 0; j < n; ++j) {
       uint64_t* column = columns.data() + j * width_;
-      for (size_t w = 0; w < width_; ++w) column[w] ^= h.b().words()[w];
       uint64_t combo = 1ull << (63 - j);  // which pivot columns sum to it
       for (size_t k = 0; k < pivots_.size(); ++k) {
         if (((column[pivots_[k].word] >> pivots_[k].shift) & 1) != 0) {
@@ -385,10 +381,10 @@ void EncodeAffineHash(ByteWriter& w, const AffineHash& h) {
   // Toeplitz hashes ship their n + m - 1 bit diagonal seed; everything
   // else falls back to dense rows (without v1's per-row length prefixes).
   // The seed path is capped at n <= 64, m <= 4096 — far beyond any real
-  // hash (word universes cap n at 64, Minimum uses m = 3n) — because the
-  // decoder must refuse to densify a quadratically amplified matrix from
-  // a small seed; dense encodings cost file bytes proportionally, so they
-  // need no such cap.
+  // hash (word universes cap n at 64, Minimum uses m = 3n) — because a
+  // seed's columns, which the preimage solver and the §5 term images
+  // read, expand a small blob to n x m bits; dense encodings cost file
+  // bytes proportionally, so they need no such cap.
   const bool seeded = h.kind() == AffineHashKind::kToeplitz &&
                       h.HasToeplitzMatrix() && h.n() <= 64 && h.m() <= 4096;
   w.U8(static_cast<uint8_t>(h.kind()));
@@ -400,7 +396,7 @@ void EncodeAffineHash(ByteWriter& w, const AffineHash& h) {
   if (seeded) {
     w.RawBits(h.ToeplitzSeed());
   } else {
-    for (int i = 0; i < h.m(); ++i) w.RawBits(h.A().Row(i));
+    for (int i = 0; i < h.m(); ++i) w.RawBits(h.Row(i));
   }
 }
 
@@ -473,9 +469,9 @@ Status DecodeAffineHash(ByteReader& r, uint16_t version,
     return Status::ParseError("seed-coded hash must be Toeplitz");
   }
   if (seeded == 1 && (n > 64 || m > 4096)) {
-    // Densifying an m x n matrix from an (n + m - 1)-bit seed amplifies a
-    // small blob quadratically; no canonical encoder emits seeds at these
-    // dimensions, so reject before allocating (never bad_alloc-abort).
+    // An (n + m - 1)-bit seed's columns expand to m x n bits, a quadratic
+    // amplification of a small blob; no canonical encoder emits seeds at
+    // these dimensions, so reject before allocating (never bad_alloc-abort).
     return Status::ParseError("seed-coded hash dimensions out of range");
   }
   BitVec b;
@@ -722,11 +718,26 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
     Status set_status = DecodeAscendingU64Set(r, count, UniverseMax(n),
                                               "minimum values", &preimages);
     if (!set_status.ok()) return set_status;
-    row.Add(std::span<const uint64_t>(preimages));
-    if (row.values().size() != count) {
-      // Two preimages collided on one hash value; the canonical encoder
-      // derives one preimage per distinct value, so this blob is bogus.
-      return Status::ParseError("minimum preimages collide");
+    // Hash once, then order the values: ascending preimages hash to
+    // values in random order, so appending in value order spares the row
+    // a sorted insert per value.
+    const size_t width = static_cast<size_t>(row.hash().OutputWords());
+    std::vector<uint64_t> hashed(preimages.size() * width);
+    row.hash().EvalBatch(preimages, hashed);
+    const auto value = [&](size_t i) {
+      return std::span<const uint64_t>(hashed.data() + i * width, width);
+    };
+    std::vector<size_t> order(preimages.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return std::ranges::lexicographical_compare(value(a), value(b));
+    });
+    for (size_t k = 1; k < order.size(); ++k) {
+      if (std::ranges::equal(value(order[k - 1]), value(order[k]))) {
+        // Two preimages collided on one hash value; the canonical encoder
+        // derives one preimage per distinct value, so this blob is bogus.
+        return Status::ParseError("minimum preimages collide");
+      }
     }
     // Canonicality: each shipped preimage must be the solver's own
     // (free-variables-zero) solution — for a rank-deficient hash, x ⊕ k
@@ -734,19 +745,15 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
     // give one row state two wire encodings, unlike every other v2 field.
     if (count > 0) {
       const PreimageSolver solver(row.hash());
-      const size_t width = static_cast<size_t>(row.hash().OutputWords());
-      std::vector<uint64_t> hashed(preimages.size() * width);
-      row.hash().EvalBatch(preimages, hashed);
       for (size_t i = 0; i < preimages.size(); ++i) {
-        // hashed[i] = h(preimages[i]) has a preimage, so Solve returns
-        // the canonical one.
-        const std::span<const uint64_t> value(hashed.data() + i * width,
-                                              width);
-        if (solver.Solve(value) != preimages[i]) {
+        // value(i) = h(preimages[i]) has a preimage, so Solve returns the
+        // canonical one.
+        if (solver.Solve(value(i)) != preimages[i]) {
           return Status::ParseError("minimum preimage is not canonical");
         }
       }
     }
+    for (const size_t i : order) row.AddHashedWords(value(i));
     return Status::Ok();
   }
   BitVec prev;

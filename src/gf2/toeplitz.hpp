@@ -8,7 +8,9 @@
 /// is the representation-size contrast the paper draws against H_xor
 /// (Theta(n^2) bits when m = n). Products run on the seed words through
 /// the carry-less middle product gf2k::ToeplitzAffine (AffineHash's
-/// evaluation path); rows and the dense form are for linear algebra.
+/// evaluation path), and AffineHash reads rows and columns straight from
+/// the seed; this class's rows and dense form are the reference the
+/// tests compare against.
 #pragma once
 
 #include "gf2/bitvec.hpp"

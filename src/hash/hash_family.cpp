@@ -16,8 +16,7 @@ AffineHash::AffineHash(int n, int m, BitVec seed, BitVec b,
       b_(std::move(b)),
       kind_(kind),
       repr_bits_(repr_bits),
-      seed_(std::move(seed)),
-      dense_(std::make_shared<Dense>()) {
+      seed_(std::move(seed)) {
   MCF0_CHECK(n >= 1 && m >= 1 && seed_.size() == n + m - 1 &&
              b_.size() == m);
 }
@@ -28,15 +27,14 @@ AffineHash::AffineHash(Gf2Matrix a, BitVec b, AffineHashKind kind,
       m_(a.rows()),
       b_(std::move(b)),
       kind_(kind),
-      repr_bits_(repr_bits),
-      dense_(std::make_shared<Dense>()) {
+      repr_bits_(repr_bits) {
   if (n_ <= 64) {
     packed_rows_.reserve(static_cast<size_t>(m_));
     for (int i = 0; i < m_; ++i) {
       packed_rows_.push_back(n_ == 0 ? 0 : a.Row(i).words()[0]);
     }
   }
-  std::call_once(dense_->built, [&] { dense_->a = std::move(a); });
+  rows_ = std::make_shared<const Gf2Matrix>(std::move(a));
 }
 
 AffineHash AffineHash::SampleToeplitz(int n, int m, Rng& rng) {
@@ -97,17 +95,47 @@ AffineHash AffineHash::FromToeplitzSeed(int n, int m, const BitVec& seed,
                     repr_bits);
 }
 
-const Gf2Matrix& AffineHash::A() const {
-  std::call_once(dense_->built, [this] {
-    dense_->a = ToeplitzMatrix(m_, n_, seed_).ToDense();
-  });
-  return dense_->a;
+BitVec AffineHash::Row(int i) const {
+  MCF0_CHECK(i >= 0 && i < m_);
+  // row_i[j] = seed[i + n - 1 - j]: the window [i, i + n) reversed.
+  if (!seed_.empty()) return seed_.Slice(i, n_).Reversed();
+  return rows_->Row(i);
+}
+
+std::vector<uint64_t> AffineHash::Columns() const {
+  const size_t width = static_cast<size_t>(OutputWords());
+  std::vector<uint64_t> columns(static_cast<size_t>(n_) * width);
+  const uint64_t tail =
+      (m_ & 63) == 0 ? ~0ull : ~0ull << (64 - (m_ & 63));  // last word
+  for (int j = 0; j < n_; ++j) {
+    uint64_t* column = columns.data() + static_cast<size_t>(j) * width;
+    if (seed_.empty()) {
+      for (int i = 0; i < m_; ++i) {
+        if (rows_->Get(i, j)) column[i >> 6] |= 1ull << (63 - (i & 63));
+      }
+      continue;
+    }
+    // Column j reads T[i][j] = seed[i + n - 1 - j] down i: the m-bit
+    // window at bit n - 1 - j, one funnel shift per output word.
+    const std::vector<uint64_t>& seed = seed_.words();
+    const int start = n_ - 1 - j;
+    const size_t first = static_cast<size_t>(start >> 6);
+    const int shift = start & 63;
+    for (size_t w = 0; w < width; ++w) {
+      const size_t at = first + w;
+      const uint64_t hi = at < seed.size() ? seed[at] : 0;
+      const uint64_t lo = at + 1 < seed.size() ? seed[at + 1] : 0;
+      column[w] = shift == 0 ? hi : (hi << shift) | (lo >> (64 - shift));
+    }
+    column[width - 1] &= tail;
+  }
+  return columns;
 }
 
 bool AffineHash::HasToeplitzMatrix() const {
   if (!seed_.empty()) return true;
   // Constant along diagonals: every entry equals its upper-left neighbor.
-  const Gf2Matrix& a = A();
+  const Gf2Matrix& a = *rows_;
   for (int i = 1; i < m_; ++i) {
     for (int j = 1; j < n_; ++j) {
       if (a.Get(i, j) != a.Get(i - 1, j - 1)) return false;
@@ -121,7 +149,7 @@ BitVec AffineHash::ToeplitzSeed() const {
   MCF0_DCHECK(HasToeplitzMatrix());
   // T[i][j] = seed[i - j + n - 1]: indices [0, n) come from the first row
   // (right to left), indices [n, n + m - 1) run down the first column.
-  const Gf2Matrix& a = A();
+  const Gf2Matrix& a = *rows_;
   BitVec seed(n_ + m_ - 1);
   for (int j = 0; j < n_; ++j) seed.Set(n_ - 1 - j, a.Get(0, j));
   for (int i = 1; i < m_; ++i) seed.Set(i + n_ - 1, a.Get(i, 0));
@@ -136,7 +164,7 @@ void AffineHash::EvalRowsInto(std::span<const uint64_t> x, int l,
   }
   // Row hashes: one word-parallel row dot per output bit.
   std::fill(y.begin(), y.end(), 0);
-  const Gf2Matrix& a = A();
+  const Gf2Matrix& a = *rows_;
   for (int i = 0; i < l; ++i) {
     const std::vector<uint64_t>& row = a.Row(i).words();
     uint64_t acc = 0;
@@ -218,7 +246,7 @@ AffineHash AffineHash::PrefixHash(int l) const {
     return AffineHash(n_, l, seed_.Prefix(n_ + l - 1), b_.Prefix(l), kind_,
                       repr_bits_);
   }
-  return AffineHash(A().PrefixRows(l), b_.Prefix(l), kind_, repr_bits_);
+  return AffineHash(rows_->PrefixRows(l), b_.Prefix(l), kind_, repr_bits_);
 }
 
 size_t AffineHash::RepresentationBits() const { return repr_bits_; }
@@ -228,7 +256,7 @@ bool AffineHash::operator==(const AffineHash& o) const {
   // A kToeplitz hash is in seed form exactly when its matrix is Toeplitz,
   // so a seed-form and a row-form hash of one kind never share a matrix.
   if (!seed_.empty() || !o.seed_.empty()) return seed_ == o.seed_;
-  return A() == o.A();
+  return *rows_ == *o.rows_;
 }
 
 }  // namespace mcf0

@@ -17,13 +17,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "gf2/bitvec.hpp"
 #include "gf2/gf2_matrix.hpp"
-#include "gf2/toeplitz.hpp"
 
 namespace mcf0 {
 
@@ -38,9 +36,11 @@ enum class AffineHashKind { kToeplitz, kXor, kSparseXor };
 /// evaluates through the carry-less middle product gf2k::ToeplitzAffine,
 /// Theta(n + m) bits and a few word multiplies per input. XOR and sparse
 /// hashes, and kToeplitz FromParts hashes whose matrix is not Toeplitz,
-/// evaluate by their matrix rows. The dense A() of a Toeplitz hash is
-/// built on first use, for the §5 and oracle linear algebra, and shared
-/// by every copy.
+/// keep their matrix and evaluate by its rows. Linear algebra reads A
+/// through Row(i) (the oracles' XOR constraints, the Bucketing cell
+/// systems, the codec's dense fallback) and Columns() (the §5 affine
+/// images); a Toeplitz hash answers both from seed windows and never
+/// builds an m x n matrix.
 class AffineHash {
  public:
   /// Samples from H_Toeplitz(n, m).
@@ -107,9 +107,17 @@ class AffineHash {
   /// The hash restricted to its first l output bits as a standalone hash.
   AffineHash PrefixHash(int l) const;
 
-  /// The matrix A. A Toeplitz hash builds it from its seed on the first
-  /// call (thread-safe); evaluation never needs it.
-  const Gf2Matrix& A() const;
+  /// Row i of A as an n-bit vector: the seed window [i, i + n) read back
+  /// to front for a Toeplitz hash (as ToeplitzMatrix::Row), the stored row
+  /// otherwise.
+  BitVec Row(int i) const;
+
+  /// The n columns of A, column j = h(e_j) + b at words
+  /// [j * OutputWords(), (j + 1) * OutputWords()) in the BitVec layout. A
+  /// Toeplitz column is the m-bit seed window starting at bit n - 1 - j,
+  /// read by funnel shifts: O(n * m / 64) words, no matrix.
+  std::vector<uint64_t> Columns() const;
+
   const BitVec& b() const { return b_; }
 
   /// Bits needed to represent the sampled function: Theta(n + m) for
@@ -121,12 +129,6 @@ class AffineHash {
   bool operator==(const AffineHash& o) const;
 
  private:
-  /// A, behind a once-flag so a Toeplitz hash can build it lazily.
-  struct Dense {
-    std::once_flag built;
-    Gf2Matrix a;
-  };
-
   AffineHash(int n, int m, BitVec seed, BitVec b, AffineHashKind kind,
              size_t repr_bits);
   AffineHash(Gf2Matrix a, BitVec b, AffineHashKind kind, size_t repr_bits);
@@ -143,10 +145,9 @@ class AffineHash {
   /// Toeplitz hashes: the diagonal seed, the only state evaluation reads.
   /// Empty for hashes that evaluate by their matrix rows.
   BitVec seed_;
-  /// A: the evaluation matrix of a row hash, built at construction; the
-  /// lazily densified seed of a Toeplitz hash. Shared by copies (A is
-  /// immutable once built). Not part of any serialized form.
-  std::shared_ptr<Dense> dense_;
+  /// Row hashes: the matrix A, evaluated by its rows. Shared by copies
+  /// (immutable). Null for Toeplitz hashes.
+  std::shared_ptr<const Gf2Matrix> rows_;
   /// Row hashes with n <= 64: row i of A packed into one word (the BitVec
   /// layout: input bit j at word bit 63 - j), so Eval64 — the FM rows' hot
   /// path — is AND + parity per output bit. Empty otherwise. Derived state

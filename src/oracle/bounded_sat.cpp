@@ -24,7 +24,7 @@ std::optional<AffineImage> TermCellSolutions(const Term& term, int num_vars,
     ++r;
   }
   for (int i = 0; i < m; ++i) {
-    a.MutableRow(r) = h.A().Row(i);
+    a.MutableRow(r) = h.Row(i);
     b.Set(r, h.b().Get(i));
     ++r;
   }

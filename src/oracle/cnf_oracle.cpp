@@ -30,7 +30,7 @@ std::vector<XorConstraint> HashPrefixConstraints(const AffineHash& h, int m) {
   xors.reserve(m);
   for (int i = 0; i < m; ++i) {
     // Bit i of h(x) = A_i.x XOR b_i; forcing it to 0 means A_i.x = b_i.
-    xors.push_back(XorConstraint{h.A().Row(i), h.b().Get(i)});
+    xors.push_back(XorConstraint{h.Row(i), h.b().Get(i)});
   }
   return xors;
 }
@@ -41,7 +41,7 @@ std::vector<XorConstraint> HashSuffixZeroConstraints(const AffineHash& h,
   std::vector<XorConstraint> xors;
   xors.reserve(t);
   for (int i = h.m() - t; i < h.m(); ++i) {
-    xors.push_back(XorConstraint{h.A().Row(i), h.b().Get(i)});
+    xors.push_back(XorConstraint{h.Row(i), h.b().Get(i)});
   }
   return xors;
 }

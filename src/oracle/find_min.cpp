@@ -1,35 +1,63 @@
 #include "oracle/find_min.hpp"
 
-#include <algorithm>
+#include <span>
 
 namespace mcf0 {
+
+namespace {
+
+/// out ^= column j of A (`stride` words per column).
+void XorColumn(std::span<const uint64_t> columns, size_t stride, int j,
+               uint64_t* out) {
+  const uint64_t* column = columns.data() + static_cast<size_t>(j) * stride;
+  for (size_t w = 0; w < stride; ++w) out[w] ^= column[w];
+}
+
+}  // namespace
+
+TermImageBuilder::TermImageBuilder(const AffineHash& h)
+    : n_(h.n()),
+      m_(h.m()),
+      stride_(static_cast<size_t>(h.OutputWords())),
+      columns_(h.Columns()),
+      b_(h.b().words()) {}
+
+AffineImage TermImageBuilder::operator()(const Term& term) {
+  // Literals are sorted by variable with no repeats (Term's invariant),
+  // so the free variables are the gaps between them.
+  offset_.assign(b_.begin(), b_.end());
+  free_.clear();
+  int v = 0;
+  const auto take_free_below = [&](int end) {
+    for (; v < end; ++v) {
+      const uint64_t* column =
+          columns_.data() + static_cast<size_t>(v) * stride_;
+      free_.insert(free_.end(), column, column + stride_);
+    }
+  };
+  for (const Lit& l : term.lits()) {
+    MCF0_CHECK(l.var >= v && l.var < n_);
+    take_free_below(l.var);
+    if (!l.neg) XorColumn(columns_, stride_, l.var, offset_.data());
+    v = l.var + 1;
+  }
+  take_free_below(n_);
+  return AffineImage(m_, free_, offset_);
+}
 
 AffineImage TermImageUnderHash(const Term& term, int num_vars,
                                const AffineHash& h) {
   MCF0_CHECK(h.n() == num_vars);
-  // Offset: h applied to the assignment that takes the term's fixed values
-  // and zero elsewhere. Directions: columns of A at the free variables.
-  BitVec fixed(num_vars);
-  std::vector<bool> is_fixed(num_vars, false);
-  for (const Lit& l : term.lits()) {
-    is_fixed[l.var] = true;
-    if (!l.neg) fixed.Set(l.var, true);
-  }
-  std::vector<int> free_vars;
-  free_vars.reserve(num_vars - term.Width());
-  for (int v = 0; v < num_vars; ++v) {
-    if (!is_fixed[v]) free_vars.push_back(v);
-  }
-  return AffineImage(h.A().SelectColumns(free_vars), h.Eval(fixed));
+  return TermImageBuilder(h)(term);
 }
 
 std::vector<BitVec> FindMinDnf(const Dnf& dnf, const AffineHash& h,
                                uint64_t p) {
+  MCF0_CHECK(h.n() == dnf.num_vars());
+  TermImageBuilder image_of(h);
   std::vector<AffineImage> images;
   images.reserve(dnf.num_terms());
-  for (const Term& t : dnf.terms()) {
-    images.push_back(TermImageUnderHash(t, dnf.num_vars(), h));
-  }
+  for (const Term& t : dnf.terms()) images.push_back(image_of(t));
   UnionLexEnumerator merge(std::move(images));
   return merge.FirstP(p);
 }
@@ -40,8 +68,28 @@ std::optional<AffineImage> AffineImageUnderHash(const Gf2Matrix& a,
   MCF0_CHECK(a.cols() == h.n());
   auto sol = SolveLinearSystem(a, b);
   if (!sol.has_value()) return std::nullopt;
-  // Sol = x0 + span(K); image under h is h(x0) + (A_h K) t.
-  return AffineImage(h.A().MulMatrix(sol->kernel), h.Eval(sol->x0));
+  return AffineImageUnderHash(*sol, h);
+}
+
+AffineImage AffineImageUnderHash(const LinearSystemSolution& sol,
+                                 const AffineHash& h) {
+  MCF0_CHECK(sol.x0.size() == h.n());
+  // Sol = x0 + span(K); its image under h is h(x0) + (A K) t, and every
+  // product with A XORs the hash's columns.
+  const std::vector<uint64_t> columns = h.Columns();
+  const size_t stride = static_cast<size_t>(h.OutputWords());
+  std::vector<uint64_t> offset = h.b().words();
+  std::vector<uint64_t> directions(static_cast<size_t>(sol.kernel.cols()) *
+                                   stride);
+  for (int j = 0; j < h.n(); ++j) {
+    if (sol.x0.Get(j)) XorColumn(columns, stride, j, offset.data());
+    for (int t = 0; t < sol.kernel.cols(); ++t) {
+      if (sol.kernel.Get(j, t)) {
+        XorColumn(columns, stride, j, directions.data() + t * stride);
+      }
+    }
+  }
+  return AffineImage(h.m(), directions, offset);
 }
 
 std::vector<BitVec> AffineFindMin(const Gf2Matrix& a, const BitVec& b,
@@ -61,7 +109,7 @@ std::optional<BitVec> QueryPrefix(CnfOracle& oracle, const AffineHash& h,
   xors.reserve(prefix.size());
   for (int i = 0; i < prefix.size(); ++i) {
     // Bit i of h(x) equals prefix_i  <=>  A_i.x = b_i XOR prefix_i.
-    xors.push_back(XorConstraint{h.A().Row(i), h.b().Get(i) != prefix.Get(i)});
+    xors.push_back(XorConstraint{h.Row(i), h.b().Get(i) != prefix.Get(i)});
   }
   auto model = oracle.Solve(xors);
   if (!model.has_value()) return std::nullopt;

@@ -22,13 +22,38 @@
 
 #include "formula/formula.hpp"
 #include "gf2/affine_image.hpp"
+#include "gf2/gauss.hpp"
 #include "hash/hash_family.hpp"
 #include "oracle/cnf_oracle.hpp"
 
 namespace mcf0 {
 
+/// h(Sol(T)) for many terms T under one hash, built on words. The hash's
+/// n columns are read once (AffineHash::Columns: seed windows for a
+/// Toeplitz hash); per term the offset is b XOR the columns of the
+/// positive literals, and the directions are the free columns, reduced to
+/// the canonical basis by AffineImage's word builder.
+class TermImageBuilder {
+ public:
+  explicit TermImageBuilder(const AffineHash& h);
+
+  /// h(Sol(term)); the term's variables must lie below h.n().
+  AffineImage operator()(const Term& term);
+
+ private:
+  int n_;
+  int m_;
+  size_t stride_;  // words per column
+  std::vector<uint64_t> columns_;
+  std::vector<uint64_t> b_;
+  /// Scratch reused across terms: the offset and the free columns.
+  std::vector<uint64_t> offset_;
+  std::vector<uint64_t> free_;
+};
+
 /// h(Sol(term)) as an affine image in {0,1}^m: the hash matrix restricted
 /// to the term's free variables, offset by the image of the fixed part.
+/// One TermImageBuilder call; callers with many terms keep the builder.
 AffineImage TermImageUnderHash(const Term& term, int num_vars,
                                const AffineHash& h);
 
@@ -49,5 +74,11 @@ std::vector<BitVec> AffineFindMin(const Gf2Matrix& a, const BitVec& b,
 std::optional<AffineImage> AffineImageUnderHash(const Gf2Matrix& a,
                                                 const BitVec& b,
                                                 const AffineHash& h);
+
+/// h(x0 + span(K)) for an already solved system: the offset h(x0) and the
+/// directions A k read from the hash's columns. A stream item solves its
+/// system once and maps the solution through every row's hash.
+AffineImage AffineImageUnderHash(const LinearSystemSolution& sol,
+                                 const AffineHash& h);
 
 }  // namespace mcf0

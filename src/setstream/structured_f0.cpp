@@ -7,6 +7,7 @@
 #include "common/paper_sizing.hpp"
 #include "common/rng.hpp"
 #include "gf2/affine_image.hpp"
+#include "gf2/gauss.hpp"
 #include "oracle/bounded_sat.hpp"
 #include "oracle/find_min.hpp"
 #include "setstream/range_to_dnf.hpp"
@@ -19,9 +20,25 @@ namespace {
 std::optional<AffineImage> AffineCellSolutions(const Gf2Matrix& a,
                                                const BitVec& b,
                                                const AffineHash& h, int m) {
-  Gf2Matrix stacked = a.StackBelow(h.A().PrefixRows(m));
+  Gf2Matrix stacked = a;
+  for (int i = 0; i < m; ++i) stacked.AppendRow(h.Row(i));
   BitVec rhs = b.Concat(h.b().Prefix(m));
   return AffineImage::FromSolutionSpace(stacked, rhs);
+}
+
+/// Feeds a row the union's elements in ascending order, at most thresh of
+/// them, stopping at the first a full row rejects: no later one can enter
+/// it either. B' of Theorems 5-7 merged into the row's KMV sketch.
+void AddSmallest(UnionLexEnumerator merge, uint64_t thresh,
+                 MinimumSketchRow* row) {
+  const size_t width = static_cast<size_t>(row->hash().OutputWords());
+  for (uint64_t i = 0; i < thresh; ++i) {
+    const uint64_t* v = merge.NextWords();
+    if (v == nullptr) return;
+    const std::span<const uint64_t> value(v, width);
+    if (!row->Admits(value)) return;
+    row->AddHashedWords(value);
+  }
 }
 
 }  // namespace
@@ -175,21 +192,14 @@ void StructuredF0::AddDnf(const Dnf& dnf) {
 void StructuredF0::AddTerms(const std::vector<Term>& terms) {
   if (terms.empty()) return;
   for (auto& row : min_rows_) {
-    // B' of Theorem 5: the Thresh smallest values of h(Sol(item)), merged
-    // into the row's KMV sketch.
+    // B' of Theorem 5: the Thresh smallest values of h(Sol(item)). The
+    // row's hash columns are read once per item, then each term's image
+    // is built from them on words.
+    TermImageBuilder image_of(row.hash());
     std::vector<AffineImage> images;
     images.reserve(terms.size());
-    for (const Term& t : terms) {
-      images.push_back(TermImageUnderHash(t, params_.n, row.hash()));
-    }
-    UnionLexEnumerator merge(std::move(images));
-    for (uint64_t i = 0; i < thresh_; ++i) {
-      auto v = merge.Next();
-      // Values arrive ascending: once one is not below a full row's max,
-      // no later one can enter the row either.
-      if (!v.has_value() || !row.Admits(v->words())) break;
-      row.AddHashed(*v);
-    }
+    for (const Term& t : terms) images.push_back(image_of(t));
+    AddSmallest(UnionLexEnumerator(std::move(images)), thresh_, &row);
   }
   for (auto& row : bucket_rows_) BucketAddTerms(&row, terms);
 }
@@ -244,16 +254,17 @@ void StructuredF0::AddRange(const MultiDimRange& range) {
 
 void StructuredF0::AddAffine(const Gf2Matrix& a, const BitVec& b) {
   MCF0_CHECK(a.cols() == params_.n);
-  for (auto& row : min_rows_) {
-    auto image = AffineImageUnderHash(a, b, row.hash());
-    if (!image.has_value()) continue;  // empty set
-    BitVec tau(image->dim());
-    for (uint64_t i = 0; i < thresh_; ++i) {
-      row.AddHashed(image->Element(tau));
-      if (!tau.Increment()) break;
-    }
-  }
   for (auto& row : bucket_rows_) BucketAddAffine(&row, a, b);
+  if (min_rows_.empty()) return;
+  // One solve per item (an inconsistent system is the empty set); each
+  // row maps the solution space through its hash (Theorem 7).
+  const std::optional<LinearSystemSolution> sol = SolveLinearSystem(a, b);
+  if (!sol.has_value()) return;
+  for (auto& row : min_rows_) {
+    std::vector<AffineImage> image;
+    image.push_back(AffineImageUnderHash(*sol, row.hash()));
+    AddSmallest(UnionLexEnumerator(std::move(image)), thresh_, &row);
+  }
 }
 
 void StructuredF0::AddCnf(const Cnf& cnf) {

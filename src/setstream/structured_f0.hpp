@@ -13,7 +13,12 @@
 ///   * Minimum: per row, keep the Thresh lexicographically smallest values
 ///     of h(union so far); a new set contributes its own Thresh smallest
 ///     (per-term affine enumeration, Proposition 2 / AffineFindMin,
-///     Proposition 4) which merge into the row's KMV sketch.
+///     Proposition 4) which merge into the row's KMV sketch. Per item and
+///     row, the term images are built on words from the hash's columns
+///     (TermImageBuilder; seed windows, no dense matrix), their union is
+///     merged on a heap (UnionLexEnumerator), and the values stop at the
+///     first one a full row rejects. An affine item solves its system
+///     once and maps the solution space through every row's hash.
 ///   * Bucketing: per row, keep the union's solutions inside the cell
 ///     h_m^{-1}(0^m), raising m on overflow; a new set contributes its
 ///     solutions inside the current cell (TermCellSolutions enumeration).
@@ -173,7 +178,7 @@ class StructuredF0 {
   /// progression (range.TotalBits() must equal n).
   void AddRange(const MultiDimRange& range);
 
-  /// Theorem 7: the affine space {x : a x = b}.
+  /// Theorem 7: the affine space {x : a x = b}, solved once per item.
   void AddAffine(const Gf2Matrix& a, const BitVec& b);
 
   /// Observation 2: a set given as a CNF formula (e.g. the O(nd)-size CNF

@@ -160,6 +160,20 @@ TEST(CliTest, CountDnfAllAlgorithms) {
   }
 }
 
+TEST(CliTest, CountAtTheEpsFloorReservesOnlyWhatTheUnionHolds) {
+  // --eps 1e-6 puts Thresh near 9.6e13. The 7-model DNF must be counted
+  // exactly, without reserving room for Thresh solutions up front.
+  const std::string path =
+      WriteFixture("eps_floor.dnf", "p dnf 4 2\n1 2 0\n-3 4 0\n");
+  for (const std::string algo : {"countmin", "approxmc"}) {
+    const RunOutput out =
+        RunCli("count --algo " + algo + " --eps 1e-6 " + path);
+    ASSERT_EQ(out.exit_code, 0) << algo << ": " << out.stdout_text;
+    ExpectJsonShape(out.stdout_text, "count");
+    EXPECT_EQ(JsonNumber(out.stdout_text, "estimate"), 7.0) << algo;
+  }
+}
+
 TEST(CliTest, DistributedDnfReportsCommunication) {
   const std::string path = WriteFixture("distributed.dnf", kDnfFixture);
   const RunOutput out = RunCli("dnf --sites 2 --seed 11 " + path);

@@ -404,6 +404,66 @@ TEST(SketchCodecTest, V2RejectsAmplifiedSeedHashWithoutAllocating) {
   }
 }
 
+// A rank-deficient hand-built hash: columns 0 and 1 of A are equal, so
+// x and x ^ (e0 + e1) hash alike and variable 1 is free in every
+// canonical preimage (the solver keeps free variables zero).
+AffineHash RankDeficientHash() {
+  Rng rng(29);
+  Gf2Matrix a = Gf2Matrix::Random(12, 4, rng);
+  for (int i = 0; i < 12; ++i) a.Set(i, 1, a.Get(i, 0));
+  a.Set(0, 0, true);  // column 0 nonzero: a pivot
+  a.Set(0, 1, true);
+  return AffineHash::FromParts(std::move(a), BitVec::Random(12, rng),
+                               AffineHashKind::kXor);
+}
+
+// A preimage-coded Minimum payload over `h` with the given ascending
+// preimages (as Eval64 reads them: variable j is bit n - 1 - j).
+std::string PreimagePayload(const AffineHash& h,
+                            const std::vector<uint64_t>& preimages) {
+  wire::ByteWriter w;
+  wire::EncodeAffineHash(w, h);
+  w.Varint(8);  // thresh
+  w.Varint(preimages.size());
+  w.U8(1);  // preimage-coded
+  for (size_t i = 0; i < preimages.size(); ++i) {
+    w.Varint(i == 0 ? preimages[0] : preimages[i] - preimages[i - 1] - 1);
+  }
+  return w.Take();
+}
+
+TEST(SketchCodecTest, V2RejectsCollidingMinimumPreimages) {
+  const AffineHash h = RankDeficientHash();
+  // 0 and 0b1100 (variables 0 and 1) hash to one value.
+  ASSERT_EQ(h.Eval64(0), h.Eval64(0b1100));
+  const Result<MinimumSketchRow> bad =
+      DecodeRowBytes<MinimumSketchRow>(PreimagePayload(h, {0, 0b1100}));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(), "minimum preimages collide");
+  // 0b1100 is not canonical either (its value's canonical preimage is 0),
+  // so the message also pins that collisions are checked first.
+  const Result<MinimumSketchRow> good =
+      DecodeRowBytes<MinimumSketchRow>(PreimagePayload(h, {0, 0b1000}));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good.value().values().size(), 2u);
+}
+
+TEST(SketchCodecTest, V2RejectsNonCanonicalMinimumPreimages) {
+  const AffineHash h = RankDeficientHash();
+  // 0b0100 sets the free variable 1; its value's canonical preimage is
+  // 0b1000, which sets the pivot variable 0 instead.
+  ASSERT_EQ(h.Eval64(0b0100), h.Eval64(0b1000));
+  const Result<MinimumSketchRow> bad =
+      DecodeRowBytes<MinimumSketchRow>(PreimagePayload(h, {0b0011, 0b0100}));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(), "minimum preimage is not canonical");
+  const Result<MinimumSketchRow> good =
+      DecodeRowBytes<MinimumSketchRow>(PreimagePayload(h, {0b0011, 0b1000}));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  // The canonical payload is what the encoder writes back.
+  EXPECT_EQ(RowBytes(good.value()), PreimagePayload(h, {0b0011, 0b1000}));
+}
+
 TEST(SketchCodecTest, V2KmvFallsBackWhenValuesHaveNoPreimage) {
   // AddHashed can insert values outside the hash's image (the §4/§5
   // protocols ship raw hash outputs; a hostile or exotic caller could ship

@@ -24,6 +24,11 @@
 // identity with a single pass is what carries the guarantee over to the
 // sharded engine and serve paths (engine and serve tests pin it), so they
 // need no trials of their own.
+//
+// Structured items get the same check: the Minimum sketch over streams of
+// 2-D ranges (§5, Theorem 6) runs Lemma 4's terms, one hash image per
+// (term, row) and their lexicographic union per row, and its estimate is
+// compared with the exact union area (ExactRangeUnionSize).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,7 +36,11 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "engine/sketch_codec.hpp"
+#include "setstream/exact_union.hpp"
+#include "setstream/range.hpp"
+#include "setstream/structured_f0.hpp"
 #include "streaming/f0_sketch.hpp"
 
 namespace mcf0 {
@@ -88,6 +97,42 @@ void RunSetting(const Setting& setting) {
       << " breaks the paper's delta = " << setting.delta << " bound";
 }
 
+// Each trial streams `ranges` random 2-D ranges over 8-bit dimensions
+// into a structured Minimum sketch at the paper's Thresh and row count.
+void RunRangeSetting(double eps, double delta, int ranges, int trials) {
+  constexpr int kDims = 2;
+  constexpr int kBits = 8;
+  int failures = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    StructuredF0Params params;
+    params.n = kDims * kBits;
+    params.eps = eps;
+    params.delta = delta;
+    params.seed = 1000 + trial;
+    params.algorithm = StructuredF0Algorithm::kMinimum;
+
+    Rng rng(5000 + trial);
+    std::vector<MultiDimRange> stream;
+    for (int i = 0; i < ranges; ++i) {
+      stream.push_back(MultiDimRange::Random(kDims, kBits, rng));
+    }
+    StructuredF0 est(params);
+    for (const MultiDimRange& range : stream) est.AddRange(range);
+
+    const double direct = est.Estimate();
+    Result<StructuredF0> decoded =
+        SketchCodec::DecodeStructuredF0(SketchCodec::Encode(est));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_DOUBLE_EQ(decoded.value().Estimate(), direct) << "trial " << trial;
+
+    const double f0 = ExactRangeUnionSize(stream);
+    if (std::abs(direct - f0) > eps * f0) ++failures;
+  }
+  EXPECT_LE(failures, delta * trials)
+      << "observed failure rate " << static_cast<double>(failures) / trials
+      << " breaks the paper's delta = " << delta << " bound";
+}
+
 TEST(F0StatisticalTest, BucketingModerateEpsDelta) {
   RunSetting({F0Algorithm::kBucketing, 0.9, 0.25, 500, 200});
 }
@@ -106,6 +151,10 @@ TEST(F0StatisticalTest, MinimumTightEpsLooseDelta) {
 
 TEST(F0StatisticalTest, EstimationModerateEpsDelta) {
   RunSetting({F0Algorithm::kEstimation, 0.9, 0.25, 500, 200});
+}
+
+TEST(F0StatisticalTest, StructuredMinimumRangeStreams) {
+  RunRangeSetting(0.9, 0.25, 6, 200);
 }
 
 }  // namespace

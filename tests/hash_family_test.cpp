@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "gf2/toeplitz.hpp"
@@ -13,12 +16,57 @@
 namespace mcf0 {
 namespace {
 
+/// A as a dense matrix, from the rows the hash reports.
+Gf2Matrix RowsOf(const AffineHash& h) {
+  std::vector<BitVec> rows;
+  for (int i = 0; i < h.m(); ++i) rows.push_back(h.Row(i));
+  return Gf2Matrix::FromRows(std::move(rows));
+}
+
 TEST(AffineHash, EvalMatchesMatrixForm) {
   Rng rng(3);
   const AffineHash h = AffineHash::SampleXor(12, 7, rng);
   for (int trial = 0; trial < 20; ++trial) {
     const BitVec x = BitVec::Random(12, rng);
-    EXPECT_EQ(h.Eval(x), h.A().Mul(x) ^ h.b());
+    EXPECT_EQ(h.Eval(x), RowsOf(h).Mul(x) ^ h.b());
+  }
+}
+
+TEST(AffineHash, RowsAndColumnsMatchTheDenseMatrixForEveryKind) {
+  // Row(i) and Columns() are the only readers of A: a Toeplitz hash
+  // answers both from seed windows, a row hash from its stored matrix.
+  Rng rng(23);
+  for (const auto& [n, m] :
+       {std::pair{1, 1}, std::pair{9, 7}, std::pair{32, 96},
+        std::pair{64, 192}, std::pair{70, 3}, std::pair{130, 390}}) {
+    const AffineHash toeplitz = AffineHash::SampleToeplitz(n, m, rng);
+    const Gf2Matrix xor_rows = Gf2Matrix::Random(m, n, rng);
+    const Gf2Matrix sparse_rows = Gf2Matrix::RandomSparse(m, n, 0.2, rng);
+    const std::pair<AffineHash, Gf2Matrix> cases[] = {
+        {toeplitz, ToeplitzMatrix(m, n, toeplitz.ToeplitzSeed()).ToDense()},
+        {AffineHash::FromParts(xor_rows, BitVec::Random(m, rng),
+                               AffineHashKind::kXor),
+         xor_rows},
+        {AffineHash::FromParts(sparse_rows, BitVec::Random(m, rng),
+                               AffineHashKind::kSparseXor),
+         sparse_rows}};
+    for (const auto& [h, dense] : cases) {
+      const size_t width = static_cast<size_t>(h.OutputWords());
+      const std::vector<uint64_t> columns = h.Columns();
+      ASSERT_EQ(columns.size(), static_cast<size_t>(n) * width);
+      for (int i = 0; i < m; ++i) {
+        ASSERT_EQ(h.Row(i), dense.Row(i)) << "n=" << n << " m=" << m;
+      }
+      for (int j = 0; j < n; ++j) {
+        std::vector<uint64_t> want(width);
+        for (int i = 0; i < m; ++i) {
+          if (dense.Get(i, j)) want[i / 64] |= 1ull << (63 - i % 64);
+        }
+        ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                               columns.begin() + j * width))
+            << "n=" << n << " m=" << m << " column " << j;
+      }
+    }
   }
 }
 
@@ -75,7 +123,7 @@ TEST(AffineHash, ToeplitzMatrixIsToeplitz) {
   const AffineHash h = AffineHash::SampleToeplitz(9, 7, rng);
   for (int i = 0; i + 1 < 7; ++i) {
     for (int j = 0; j + 1 < 9; ++j) {
-      EXPECT_EQ(h.A().Get(i, j), h.A().Get(i + 1, j + 1));
+      EXPECT_EQ(h.Row(i).Get(j), h.Row(i + 1).Get(j + 1));
     }
   }
 }
@@ -84,7 +132,7 @@ TEST(AffineHash, SparseDensityControlsRowWeight) {
   Rng rng(19);
   const AffineHash sparse = AffineHash::SampleSparseXor(256, 64, 0.05, rng);
   int total = 0;
-  for (int i = 0; i < 64; ++i) total += sparse.A().Row(i).Popcount();
+  for (int i = 0; i < 64; ++i) total += sparse.Row(i).Popcount();
   // 64 rows x 256 cols x 0.05 ~ 819 expected ones.
   EXPECT_GT(total, 500);
   EXPECT_LT(total, 1200);

@@ -7,10 +7,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/exact_count.hpp"
 #include "formula/random_gen.hpp"
+#include "gf2/toeplitz.hpp"
 #include "oracle/bounded_sat.hpp"
 #include "oracle/cnf_oracle.hpp"
 #include "oracle/find_max_range.hpp"
@@ -316,6 +319,88 @@ TEST(TermImageUnderHash, MatchesDirectImages) {
     const AffineImage image = TermImageUnderHash(term, n, h);
     EXPECT_EQ(image.CountU64(), expect.size());
     for (const BitVec& y : expect) EXPECT_TRUE(image.Contains(y));
+  }
+}
+
+/// The dense reference image: A restricted to the free variables, offset
+/// by h of the fixed assignment.
+AffineImage DenseTermImage(const Term& term, const Gf2Matrix& a,
+                           const AffineHash& h) {
+  BitVec fixed(h.n());
+  std::vector<int> free_vars;
+  for (int v = 0; v < h.n(); ++v) {
+    const std::optional<bool> value = term.FixedValue(v);
+    if (!value.has_value()) free_vars.push_back(v);
+    if (value.value_or(false)) fixed.Set(v, true);
+  }
+  return AffineImage(a.SelectColumns(free_vars), h.Eval(fixed));
+}
+
+TEST(TermImageUnderHash, WordBuiltImagesMatchDenseReference) {
+  // Every hash kind, n from 1 to 64 with m in {1, n, 3n}, and the wide
+  // structured universe: the word-built canonical form must equal the
+  // dense one in pivots and in its smallest, largest and first elements.
+  Rng rng(71);
+  std::vector<std::pair<int, int>> shapes;
+  for (int n = 1; n <= 64; ++n) {
+    for (const int m : {1, n, 3 * n}) shapes.emplace_back(n, m);
+  }
+  for (const int n : {65, 128, 200}) shapes.emplace_back(n, 3 * n);
+  for (const auto& [n, m] : shapes) {
+    const AffineHash toeplitz = AffineHash::SampleToeplitz(n, m, rng);
+    const Gf2Matrix xor_a = Gf2Matrix::Random(m, n, rng);
+    const Gf2Matrix sparse_a = Gf2Matrix::RandomSparse(m, n, 0.1, rng);
+    const std::pair<AffineHash, Gf2Matrix> cases[] = {
+        {toeplitz, ToeplitzMatrix(m, n, toeplitz.ToeplitzSeed()).ToDense()},
+        {AffineHash::FromParts(xor_a, BitVec::Random(m, rng),
+                               AffineHashKind::kXor),
+         xor_a},
+        {AffineHash::FromParts(sparse_a, BitVec::Random(m, rng),
+                               AffineHashKind::kSparseXor),
+         sparse_a}};
+    for (const auto& [h, a] : cases) {
+      const int width = 1 + static_cast<int>(rng.NextBelow(n));
+      const Term terms[] = {Term(), RandomTerm(n, n, rng),
+                            RandomTerm(n, width, rng)};
+      for (const Term& term : terms) {
+        const AffineImage got = TermImageUnderHash(term, n, h);
+        const AffineImage want = DenseTermImage(term, a, h);
+        ASSERT_EQ(got.pivots(), want.pivots()) << "n=" << n << " m=" << m;
+        ASSERT_EQ(got.Min(), want.Min()) << "n=" << n << " m=" << m;
+        ASSERT_EQ(got.Max(), want.Max()) << "n=" << n << " m=" << m;
+        ASSERT_EQ(got.FirstP(64), want.FirstP(64)) << "n=" << n << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(UnionLexEnumerator, HeapMergeMatchesBruteForceOnOverlappingImages) {
+  // m < n makes every hash non-injective, so term images overlap and
+  // share elements: the heap merge must emit each union element once, in
+  // order, for every kind of hash.
+  Rng rng(73);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int n = 6 + static_cast<int>(rng.NextBelow(5));
+    const int m = 2 + static_cast<int>(rng.NextBelow(n - 2));
+    const Dnf dnf =
+        RandomDnf(n, 2 + static_cast<int>(rng.NextBelow(6)), 1, 3, rng);
+    const AffineHash hashes[] = {
+        AffineHash::SampleToeplitz(n, m, rng), AffineHash::SampleXor(n, m, rng),
+        AffineHash::SampleSparseXor(n, m, 0.3, rng)};
+    for (const AffineHash& h : hashes) {
+      std::set<BitVec> expect;
+      for (const BitVec& x : BruteSolutions(dnf)) expect.insert(h.Eval(x));
+      std::vector<AffineImage> images;
+      for (const Term& t : dnf.terms()) {
+        images.push_back(TermImageUnderHash(t, n, h));
+      }
+      UnionLexEnumerator merge(std::move(images));
+      std::vector<BitVec> got;
+      while (std::optional<BitVec> v = merge.Next()) got.push_back(*v);
+      EXPECT_EQ(got, std::vector<BitVec>(expect.begin(), expect.end()))
+          << "trial " << trial << " n=" << n << " m=" << m;
+      EXPECT_FALSE(merge.Next().has_value());
+    }
   }
 }
 

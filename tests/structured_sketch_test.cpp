@@ -21,6 +21,8 @@
 #include "engine/wire.hpp"
 #include "formula/formula.hpp"
 #include "gf2/affine_image.hpp"
+#include "gf2/gauss.hpp"
+#include "gf2/toeplitz.hpp"
 #include "oracle/find_min.hpp"
 #include "setstream/range_to_dnf.hpp"
 #include "setstream/structured_f0.hpp"
@@ -134,6 +136,54 @@ TEST(StructuredSketchTest, FullRowEarlyExitKeepsValuesAndBytes) {
         << "row " << r;
   }
   EXPECT_EQ(SketchCodec::Encode(early), SketchCodec::Encode(full));
+}
+
+TEST(StructuredSketchTest, FullRowAffineItemsKeepValuesAndBytes) {
+  // AddAffine solves each item once and stops at a full row's max. The
+  // dense replay (per row: A K and h(x0) from the Toeplitz matrix, then
+  // the min(Thresh, 2^dim) smallest elements through AddHashed) must
+  // leave the same values and encode the same bytes.
+  StructuredF0Params params;
+  params.n = 16;
+  params.seed = 9;
+  params.thresh_override = 20;
+  params.rows_override = 3;
+  Rng rng(79);
+  std::vector<std::pair<Gf2Matrix, BitVec>> items;
+  for (int i = 0; i < 4; ++i) {
+    items.emplace_back(Gf2Matrix::Random(4, params.n, rng),
+                       BitVec::Random(4, rng));
+  }
+
+  StructuredF0 direct(params);
+  for (const auto& [a, b] : items) direct.AddAffine(a, b);
+  for (const MinimumSketchRow& row : direct.minimum_rows()) {
+    ASSERT_TRUE(row.saturated());
+  }
+
+  StructuredF0::Parts parts = StructuredF0(params).ReleaseParts();
+  for (const auto& [a, b] : items) {
+    const std::optional<LinearSystemSolution> sol = SolveLinearSystem(a, b);
+    if (!sol.has_value()) continue;  // the empty set
+    for (MinimumSketchRow& row : parts.minimum) {
+      const AffineHash& h = row.hash();
+      const Gf2Matrix dense =
+          ToeplitzMatrix(h.m(), h.n(), h.ToeplitzSeed()).ToDense();
+      const AffineImage image(dense.MulMatrix(sol->kernel), h.Eval(sol->x0));
+      BitVec tau(image.dim());
+      for (uint64_t i = 0; i < params.thresh_override; ++i) {
+        row.AddHashed(image.Element(tau));
+        if (!tau.Increment()) break;
+      }
+    }
+  }
+  const StructuredF0 replay = StructuredF0::FromParts(std::move(parts));
+  for (size_t r = 0; r < replay.minimum_rows().size(); ++r) {
+    EXPECT_EQ(direct.minimum_rows()[r].values(),
+              replay.minimum_rows()[r].values())
+        << "row " << r;
+  }
+  EXPECT_EQ(SketchCodec::Encode(direct), SketchCodec::Encode(replay));
 }
 
 TEST(StructuredSketchCodecTest, RoundTripsBothAlgorithms) {
