@@ -8,9 +8,12 @@
 // The tier table doubles as a gate: the batched span-Add path must not
 // be slower than item-at-a-time Add on any tier, and every (tier, path)
 // combination must produce byte-identical sketch encodings — tiers and
-// batching change the implementation, never the result. Any violation
-// exits 1. `--smoke` shrinks the stream for CI and skips the gbench
-// section.
+// batching change the implementation, never the result. On a hardware
+// tier, batched Estimation must also absorb at least kEstimationFloor
+// times the scalar rate: its span path shares each point's powers across
+// a row's columns and reduces once per column (gf2k::SharedPowersBatch),
+// while item Add runs Horner per column. Any violation exits 1.
+// `--smoke` shrinks the stream for CI and skips the gbench section.
 #include <cstring>
 #include <fstream>
 #include <span>
@@ -71,6 +74,9 @@ BENCHMARK(BM_SketchAdd)
                    {80, 40}})
     ->ArgNames({"alg", "eps_pct"});
 #endif  // MCF0_HAVE_GBENCH
+
+/// Least batched/scalar Estimation absorb ratio on a hardware tier.
+constexpr double kEstimationFloor = 3.0;
 
 /// Tiers to benchmark: portable always, plus the hardware tier when the
 /// CPU has one (there is at most one per architecture).
@@ -216,16 +222,27 @@ int main(int argc, char** argv) {
   }
   const double portable_scalar = rows.front().rates.scalar_elems_per_sec;
   double best_batched = 0.0;
+  double hardware_ratio = 0.0;  // 0: no hardware tier measured
   for (const TierRow& row : rows) {
-    if (std::strcmp(row.sketch, "Estimation") == 0) {
-      best_batched = row.rates.batched_elems_per_sec;
+    if (std::strcmp(row.sketch, "Estimation") != 0) continue;
+    best_batched = row.rates.batched_elems_per_sec;
+    if (row.tier != gf2k::KernelTier::kPortable) {
+      hardware_ratio =
+          row.rates.batched_elems_per_sec / row.rates.scalar_elems_per_sec;
     }
   }
   std::printf("best batched vs portable scalar (Estimation): %.2fx\n",
               best_batched / portable_scalar);
+  if (hardware_ratio > 0.0 && hardware_ratio < kEstimationFloor) {
+    std::printf("GATE FAILED: batched Estimation absorb is %.2fx scalar on "
+                "the hardware tier, below the %.1fx floor\n",
+                hardware_ratio, kEstimationFloor);
+    return 1;
+  }
 
   // Machine-readable summary (same manual-JSON idiom as BENCH_e17/e19).
-  // Reaching this line means the byte-identity and not-slower gates held.
+  // Reaching this line means the byte-identity, not-slower and hardware
+  // floor gates held.
   std::ofstream json("BENCH_e02_hash.json");
   json << "{\n"
        << "  \"experiment\": \"e02_hash\",\n"
@@ -248,6 +265,15 @@ int main(int argc, char** argv) {
   json << "  ],\n"
        << "  \"best_batched_over_portable_scalar\": "
        << best_batched / portable_scalar << ",\n"
+       << "  \"estimation_hardware_batched_over_scalar\": ";
+  if (hardware_ratio > 0.0) {
+    json << hardware_ratio;
+  } else {
+    json << "null";
+  }
+  json << ",\n"
+       << "  \"gate_estimation_hardware_floor\": " << kEstimationFloor
+       << ",\n"
        << "  \"gate_batched_not_slower\": true,\n"
        << "  \"bytes_identical\": true\n"
        << "}\n";

@@ -876,6 +876,10 @@ Status DecodeEstimationPayload(ByteReader& r, uint16_t version,
       uint64_t s = 0;
       if (!r.Count(version, &s)) return Truncated("estimation hashes");
       if (s < 1) return Status::ParseError("estimation hash needs s >= 1");
+      if (i > 0 && s != static_cast<uint64_t>(hashes[0].s())) {
+        // A row evaluates all its columns on one set of shared powers.
+        return Status::ParseError("estimation hashes differ in s");
+      }
       if (s > r.Remaining() / (v1 ? 8 : 1)) {
         return Truncated("estimation hashes");
       }

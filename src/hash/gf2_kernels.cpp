@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define MCF0_GF2K_X86 1
@@ -126,6 +127,123 @@ void HornerBatchSoft(std::span<const uint64_t> coeffs,
     }
     out[i] = acc;
   }
+}
+
+// ---- shared powers, one Barrett reduction ---------------------------------
+
+/// Field constants of one SharedPowersBatch call.
+struct BarrettField {
+  int w = 0;
+  uint64_t mask = 0;     ///< low w bits
+  uint64_t mod_low = 0;  ///< f = x^w + mod_low
+  uint64_t mu_low = 0;   ///< floor(x^(2w) / f) = x^w + mu_low
+};
+
+/// floor(p / x^w) for w in [1, 64] and p of degree < w + 64. The split
+/// shift keeps w = 64 defined.
+inline uint64_t ShiftDown(Product128 p, int w) {
+  return (p.hi << (64 - w)) | ((p.lo >> (w - 1)) >> 1);
+}
+
+/// a mod f for a of degree < 2w: q = A_hi + floor(A_hi mu_low / x^w) is
+/// exactly floor(a / f), and a + q f agrees with a + q mod_low below x^w.
+/// Two carry-less multiplies by field constants, no data-dependent exit.
+template <typename Clmul>
+__attribute__((always_inline)) inline uint64_t BarrettReduce(
+    Product128 a, const BarrettField& f, Clmul clmul) {
+  const uint64_t a_hi = ShiftDown(a, f.w);
+  const uint64_t q = a_hi ^ ShiftDown(clmul(a_hi, f.mu_low), f.w);
+  return (a.lo ^ clmul(q, f.mod_low).lo) & f.mask;
+}
+
+/// The powers x^1..x^(s-1) of one point as words, for the tiers whose
+/// multiply by a fixed power is one carry-less multiply; `dot` sums the
+/// terms c[k] x^k in that tier's registers.
+template <typename Clmul, typename DotFn>
+struct WordPowers {
+  const BarrettField& f;
+  int s;
+  uint64_t* p;  ///< p[k] = x^k for k in [1, s)
+  Clmul clmul;
+  DotFn dot;
+
+  __attribute__((always_inline)) void Set(uint64_t x) {
+    uint64_t xk = x;
+    for (int k = 1; k < s; ++k) {
+      if (k > 1) xk = BarrettReduce(clmul(xk, x), f, clmul);
+      p[k] = xk;
+    }
+  }
+
+  /// sum_k c[k] x^k over k in [1, s), unreduced.
+  __attribute__((always_inline)) Product128 Dot(const uint64_t* c) const {
+    return dot(c, p, s);
+  }
+};
+
+/// The portable tier's powers: one 4-bit window table per power, built
+/// once per point and read by every polynomial.
+struct WindowPowers {
+  const BarrettField& f;
+  int s;
+  WindowTable* t;  ///< t[k] multiplies by x^k, k in [1, s)
+
+  void Set(uint64_t x) {
+    const int nibbles = (f.w + 3) >> 2;
+    uint64_t xk = x;
+    for (int k = 1; k < s; ++k) {
+      if (k > 1) {
+        xk = BarrettReduce(ClmulWindow(xk, t[1], nibbles), f,
+                           [](uint64_t a, uint64_t b) {
+                             return ClmulSoft(a, b);
+                           });
+      }
+      t[k] = MakeWindow(xk);
+    }
+  }
+
+  /// sum_k c[k] x^k over k in [1, s), unreduced: one Horner pass over the
+  /// coefficients' nibbles, every power's table read per step, so the
+  /// 128-bit shift is shared by all s - 1 products.
+  Product128 Dot(const uint64_t* c) const {
+    Product128 r;
+    for (int n = ((f.w + 3) >> 2) - 1; n >= 0; --n) {
+      r.hi = (r.hi << 4) | (r.lo >> 60);
+      r.lo <<= 4;
+      for (int k = 1; k < s; ++k) {
+        const Product128& e = t[k].t[(c[k] >> (4 * n)) & 15];
+        r.hi ^= e.hi;
+        r.lo ^= e.lo;
+      }
+    }
+    return r;
+  }
+};
+
+/// The point loop shared by every tier: powers once per point, then one
+/// inner product and one reduction per polynomial.
+template <typename Powers, typename Clmul>
+__attribute__((always_inline)) inline void SharedPowersLoop(
+    std::span<const uint64_t* const> polys, std::span<const uint64_t> xs,
+    std::span<uint64_t> out, const BarrettField& f, Powers& powers,
+    Clmul clmul) {
+  uint64_t* o = out.data();
+  for (const uint64_t x : xs) {
+    powers.Set(x & f.mask);
+    for (const uint64_t* c : polys) {
+      *o++ = c[0] ^ BarrettReduce(powers.Dot(c), f, clmul);
+    }
+  }
+}
+
+void SharedPowersSoft(std::span<const uint64_t* const> polys, int s,
+                      std::span<const uint64_t> xs, std::span<uint64_t> out,
+                      const BarrettField& f) {
+  std::vector<WindowTable> tables(static_cast<size_t>(s));
+  WindowPowers powers{f, s, tables.data()};
+  SharedPowersLoop(polys, xs, out, f, powers, [](uint64_t a, uint64_t b) {
+    return ClmulSoft(a, b);
+  });
 }
 
 // ---- Toeplitz middle product ----------------------------------------------
@@ -295,6 +413,33 @@ MCF0_TARGET_CLMUL void HornerBatchClmul(std::span<const uint64_t> coeffs,
   }
 }
 
+MCF0_TARGET_CLMUL void SharedPowersClmul(std::span<const uint64_t* const> polys,
+                                         int s, std::span<const uint64_t> xs,
+                                         std::span<uint64_t> out,
+                                         const BarrettField& f) {
+  const auto clmul = [](uint64_t a, uint64_t b) MCF0_TARGET_CLMUL {
+    return CarrylessMulClmul(a, b);
+  };
+  // The terms accumulate in one XMM register: one PXOR each, and the sum
+  // leaves for general registers once.
+  const auto dot = [](const uint64_t* c, const uint64_t* p,
+                      int s) MCF0_TARGET_CLMUL {
+    __m128i acc = _mm_setzero_si128();
+    for (int k = 1; k < s; ++k) {
+      acc = _mm_xor_si128(
+          acc, _mm_clmulepi64_si128(
+                   _mm_cvtsi64_si128(static_cast<long long>(c[k])),
+                   _mm_cvtsi64_si128(static_cast<long long>(p[k])), 0x00));
+    }
+    return Product128{static_cast<uint64_t>(_mm_extract_epi64(acc, 1)),
+                      static_cast<uint64_t>(_mm_cvtsi128_si64(acc))};
+  };
+  std::vector<uint64_t> p(static_cast<size_t>(s));
+  WordPowers<decltype(clmul), decltype(dot)> powers{f, s, p.data(), clmul,
+                                                    dot};
+  SharedPowersLoop(polys, xs, out, f, powers, clmul);
+}
+
 MCF0_TARGET_CLMUL void ToeplitzAffineClmul(std::span<const uint64_t> seed,
                                            int n, int m,
                                            std::span<const uint64_t> b,
@@ -356,6 +501,29 @@ MCF0_TARGET_PMULL void HornerBatchPmull(std::span<const uint64_t> coeffs,
     }
     out[i] = acc;
   }
+}
+
+MCF0_TARGET_PMULL void SharedPowersPmull(std::span<const uint64_t* const> polys,
+                                         int s, std::span<const uint64_t> xs,
+                                         std::span<uint64_t> out,
+                                         const BarrettField& f) {
+  const auto clmul = [](uint64_t a, uint64_t b) MCF0_TARGET_PMULL {
+    return CarrylessMulPmullRaw(a, b);
+  };
+  const auto dot = [clmul](const uint64_t* c, const uint64_t* p,
+                           int s) MCF0_TARGET_PMULL {
+    Product128 acc;
+    for (int k = 1; k < s; ++k) {
+      const Product128 t = clmul(c[k], p[k]);
+      acc.hi ^= t.hi;
+      acc.lo ^= t.lo;
+    }
+    return acc;
+  };
+  std::vector<uint64_t> p(static_cast<size_t>(s));
+  WordPowers<decltype(clmul), decltype(dot)> powers{f, s, p.data(), clmul,
+                                                    dot};
+  SharedPowersLoop(polys, xs, out, f, powers, clmul);
 }
 
 MCF0_TARGET_PMULL void ToeplitzAffinePmull(std::span<const uint64_t> seed,
@@ -508,6 +676,23 @@ void HornerBatch(std::span<const uint64_t> coeffs,
       return;
 #endif
     default: HornerBatchSoft(coeffs, xs, out, w, mod_low); return;
+  }
+}
+
+void SharedPowersBatch(std::span<const uint64_t* const> polys, int s,
+                       std::span<const uint64_t> xs, std::span<uint64_t> out,
+                       int w, uint64_t mod_low, uint64_t mu_low) {
+  MCF0_CHECK(s >= 1 && w >= 1 && w <= 64 &&
+             out.size() == xs.size() * polys.size());
+  const BarrettField f{w, w == 64 ? ~0ull : (1ull << w) - 1, mod_low, mu_low};
+  switch (ActiveKernelTier()) {
+#if defined(MCF0_GF2K_X86)
+    case KernelTier::kClmul: SharedPowersClmul(polys, s, xs, out, f); return;
+#endif
+#if defined(MCF0_GF2K_ARM)
+    case KernelTier::kPmull: SharedPowersPmull(polys, s, xs, out, f); return;
+#endif
+    default: SharedPowersSoft(polys, s, xs, out, f); return;
   }
 }
 

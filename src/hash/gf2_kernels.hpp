@@ -2,8 +2,9 @@
 /// \brief Vectorized GF(2) carry-less-multiply kernels with runtime CPU
 /// dispatch — the arithmetic backend of `Gf2Field` and `PolynomialHash`.
 ///
-/// Three tiers implement the same 64x64 -> 128 carry-less multiply and
-/// the fold-based reduction mod an irreducible f = x^w + f_low:
+/// Three tiers implement the same 64x64 -> 128 carry-less multiply, the
+/// fold-based reduction mod an irreducible f = x^w + f_low, and the
+/// Barrett reduction mod the same f that SharedPowersBatch runs:
 ///
 ///   * kPortable — shift-and-xor software multiply. Always available;
 ///     the reference every other tier must match bit-for-bit.
@@ -18,12 +19,14 @@
 /// reported through the `mcf0_hash_kernel_tier` gauge so `mcf0 serve`
 /// stats show which kernel is live.
 ///
-/// The batch entry points (`HornerBatch`, `ToeplitzAffine`) hoist the
-/// tier switch and the per-call constants (modulus and field mask; the
-/// Toeplitz word geometry) out of the element loop — that amortization
-/// is where most of the batched-absorb speedup comes from even before
-/// the carry-less multiply gets hardware help. `ToeplitzAffine` is the
-/// evaluation path of every H_Toeplitz hash (hash/hash_family.hpp).
+/// The batch entry points (`HornerBatch`, `SharedPowersBatch`,
+/// `ToeplitzAffine`) hoist the tier switch and the per-call constants
+/// (modulus and field mask; the Toeplitz word geometry) out of the
+/// element loop — that amortization is where most of the batched-absorb
+/// speedup comes from even before the carry-less multiply gets hardware
+/// help. `SharedPowersBatch` is the span-Add path of Estimation rows
+/// (streaming/f0_sketch.hpp), `ToeplitzAffine` the evaluation path of
+/// every H_Toeplitz hash (hash/hash_family.hpp).
 #pragma once
 
 #include <cstdint>
@@ -114,6 +117,24 @@ void ToeplitzAffine(std::span<const uint64_t> seed, int n, int m,
 void HornerBatch(std::span<const uint64_t> coeffs,
                  std::span<const uint64_t> xs, std::span<uint64_t> out, int w,
                  uint64_t mod_low);
+
+/// Evaluates many polynomials over one GF(2^w) at the same points:
+/// out[i * polys.size() + j] = p_j(xs[i] & mask), where polys[j] points
+/// at the s coefficients of p_j (constant term first) and f = x^w +
+/// mod_low. Per point the powers x^1..x^(s-1) are computed once and
+/// shared by every polynomial; p_j(x) is then the unreduced 128-bit
+/// carry-less inner product A = c_0 + sum_k c_k x^k, reduced once by
+/// Barrett: with mu = floor(x^(2w) / f) = x^w + mu_low (the field's
+/// barrett_mu_low()), q = floor(floor(A / x^w) mu / x^w) is exactly
+/// floor(A / f) for every A of degree < 2w, so p_j(x) = (A + q f) mod
+/// x^w needs no correction step. That is s + 1 independent multiplies
+/// per polynomial instead of Horner's s - 1 dependent multiply-and-fold
+/// steps, and the same field element bit for bit. The tier switch, the
+/// field constants and (on the portable tier) the window tables of each
+/// power are hoisted out of the polynomial loop. Active tier.
+void SharedPowersBatch(std::span<const uint64_t* const> polys, int s,
+                       std::span<const uint64_t> xs, std::span<uint64_t> out,
+                       int w, uint64_t mod_low, uint64_t mu_low);
 
 }  // namespace gf2k
 }  // namespace mcf0

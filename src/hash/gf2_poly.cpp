@@ -152,9 +152,30 @@ const Gf2Field& Gf2Field::Of(int w) {
 
 Gf2Field::Gf2Field(int w) : Gf2Field(Of(w)) {}
 
+namespace {
+
+/// The low w bits of floor(x^(2w) / f) for f = x^w + mod_low, by long
+/// division. Only the remainder's bits at x^w and up steer the quotient,
+/// and after the leading step (quotient bit w, which leaves mod_low x^w)
+/// they fit one word: bit k of `top` is the coefficient of x^(w+k).
+uint64_t BarrettMuLow(int w, uint64_t mod_low) {
+  uint64_t top = mod_low;
+  uint64_t mu_low = 0;
+  for (int k = w - 1; k >= 0; --k) {
+    if (((top >> k) & 1) == 0) continue;
+    mu_low |= 1ull << k;
+    // Subtract f x^k: clears bit k and adds mod_low x^k's part >= x^w.
+    top ^= (1ull << k) | (w - k >= 64 ? 0 : mod_low >> (w - k));
+  }
+  return mu_low;
+}
+
+}  // namespace
+
 Gf2Field::Gf2Field(int w, uint64_t mod_low)
     : w_(w),
       mod_low_(mod_low),
+      mu_low_(BarrettMuLow(w, mod_low)),
       mask_((w == 64) ? ~0ull : ((1ull << w) - 1)) {}
 
 uint64_t Gf2Field::Mul(uint64_t a, uint64_t b) const {

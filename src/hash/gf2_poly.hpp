@@ -9,6 +9,8 @@
 /// (Gf2Field::Of).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,7 +28,8 @@ class Gf2Field {
   /// destroyed, so hashes (and the sketches holding them) point at it and
   /// stay copyable. The first call for a degree scans for the smallest
   /// irreducible modulus (O(w^4 / 64)), counted by the
-  /// `mcf0_gf2_modulus_scans_total` metric (at most 64 per process).
+  /// `mcf0_gf2_modulus_scans_total` metric (at most 64 per process), and
+  /// derives its Barrett constant (at most w + 1 shift-XOR steps).
   /// Thread-safe.
   static const Gf2Field& Of(int w);
 
@@ -37,6 +40,10 @@ class Gf2Field {
 
   /// Low-order bits of the modulus (the x^w term is implicit).
   uint64_t modulus_low() const { return mod_low_; }
+
+  /// Low-order bits of the Barrett constant mu = floor(x^(2w) / f) (the
+  /// x^w term is implicit): what gf2k::SharedPowersBatch reduces with.
+  uint64_t barrett_mu_low() const { return mu_low_; }
 
   /// Field addition (= XOR).
   static uint64_t Add(uint64_t a, uint64_t b) { return a ^ b; }
@@ -57,6 +64,7 @@ class Gf2Field {
 
   int w_;
   uint64_t mod_low_;
+  uint64_t mu_low_;
   uint64_t mask_;  // low w bits
 };
 
@@ -108,10 +116,7 @@ class PolynomialHash {
 /// TrailZero for machine-word hash outputs); returns w when z == 0.
 inline int TrailZero64(uint64_t z, int w) {
   MCF0_DCHECK(w >= 1 && w <= 64);
-  if (z == 0) return w;
-  int t = 0;
-  while (((z >> t) & 1) == 0) ++t;
-  return t < w ? t : w;
+  return std::min(std::countr_zero(z), w);
 }
 
 }  // namespace mcf0

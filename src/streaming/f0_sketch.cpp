@@ -9,6 +9,7 @@
 
 #include "common/paper_sizing.hpp"
 #include "common/rng.hpp"
+#include "hash/gf2_kernels.hpp"
 #include "obs/metrics.hpp"
 
 namespace mcf0 {
@@ -203,6 +204,11 @@ EstimationSketchRow::EstimationSketchRow(std::vector<PolynomialHash> hashes,
     : hashes_(std::move(hashes)), cells_(std::move(cells)) {
   MCF0_CHECK(!cells_.empty());
   MCF0_CHECK(hashes_.empty() || hashes_.size() == cells_.size());
+  // Span Add evaluates every column on one set of shared powers.
+  for (const PolynomialHash& h : hashes_) {
+    MCF0_CHECK(h.field_degree() == hashes_.front().field_degree() &&
+               h.s() == hashes_.front().s());
+  }
 }
 
 void EstimationSketchRow::Add(uint64_t x) {
@@ -217,22 +223,34 @@ void EstimationSketchRow::Add(uint64_t x) {
 void EstimationSketchRow::Add(std::span<const uint64_t> xs) {
   MCF0_CHECK(!hashes_.empty());  // cells-only rows are Merge-fed
   const int w = hashes_.front().field_degree();
-  // Per-hash Horner over a block: coefficients, modulus, and kernel
-  // dispatch amortize across the block; 256 elements keeps the scratch
-  // on the stack.
-  std::array<uint64_t, 256> hashed;
-  for (size_t base = 0; base < xs.size(); base += hashed.size()) {
-    const size_t len = std::min(hashed.size(), xs.size() - base);
-    const auto block = xs.subspan(base, len);
-    const std::span<uint64_t> out(hashed.data(), len);
-    for (size_t j = 0; j < hashes_.size(); ++j) {
-      hashes_[j].EvalBatch(block, out);
-      int cell = cells_[j];
-      for (const uint64_t h : out) {
-        const int t = TrailZero64(h, w);
-        if (t > cell) cell = t;
+  const int s = hashes_.front().s();
+  // The modulus search is deterministic per degree, so the interned
+  // field holds the hashes' modulus (and its Barrett constant).
+  const Gf2Field& field = Gf2Field::Of(w);
+  // Up to 256 columns at a time, over blocks of points that fill the
+  // stack scratch: the kernel shares each point's powers across the
+  // columns, and the cells take the maxima after each block.
+  std::array<const uint64_t*, 256> coeffs;
+  std::array<uint64_t, 2048> hashed;
+  for (size_t j0 = 0; j0 < hashes_.size(); j0 += coeffs.size()) {
+    const size_t cols = std::min(coeffs.size(), hashes_.size() - j0);
+    for (size_t j = 0; j < cols; ++j) {
+      coeffs[j] = hashes_[j0 + j].coeffs().data();
+    }
+    int* cells = cells_.data() + j0;
+    const size_t block = hashed.size() / cols;
+    for (size_t base = 0; base < xs.size(); base += block) {
+      const size_t len = std::min(block, xs.size() - base);
+      gf2k::SharedPowersBatch(std::span(coeffs.data(), cols), s,
+                              xs.subspan(base, len),
+                              std::span(hashed.data(), len * cols), w,
+                              field.modulus_low(), field.barrett_mu_low());
+      const uint64_t* h = hashed.data();
+      for (size_t i = 0; i < len; ++i) {
+        for (size_t j = 0; j < cols; ++j) {
+          cells[j] = std::max(cells[j], TrailZero64(*h++, w));
+        }
       }
-      cells_[j] = cell;
     }
   }
 }

@@ -210,17 +210,20 @@ class EstimationSketchRow {
   explicit EstimationSketchRow(int num_cols);
 
   /// Rebuilds a row from explicit hash + cell state (the engine entry
-  /// point). The hashes share one field, which must outlive the row;
-  /// they may be empty for a cells-only row.
+  /// point). The hashes share one field, which must outlive the row, and
+  /// one s (checked); they may be empty for a cells-only row.
   EstimationSketchRow(std::vector<PolynomialHash> hashes,
                       std::vector<int> cells);
 
+  /// Item absorb: Horner through PolynomialHash::Eval per column — the
+  /// scalar reference the span path is measured and pinned against.
   void Add(uint64_t x);
 
-  /// Batch absorb: each hash evaluates the whole block through
-  /// gf2k::HornerBatch (coefficients, modulus, and kernel dispatch shared
-  /// across B elements — the tentpole hot path). Byte-identical to
-  /// item-by-item Add: cells take maxima, which commute.
+  /// Batch absorb: every column evaluates at each point on that point's
+  /// shared powers x^1..x^(s-1), one inner product and one Barrett
+  /// reduction per column (gf2k::SharedPowersBatch). Byte-identical to
+  /// item-by-item Add: the hash values are the same field elements, and
+  /// cells take maxima, which commute.
   void Add(std::span<const uint64_t> xs);
 
   /// Raises cell j to at least `t` — the distributed merge path (§4).

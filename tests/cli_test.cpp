@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
+
 namespace mcf0 {
 namespace {
 
@@ -208,6 +210,21 @@ TEST(CliTest, RejectsMalformedInput) {
   EXPECT_EQ(RunCli("count " + path + " 2>/dev/null").exit_code, 1);
   const std::string bad_stream = WriteFixture("bad.txt", "12 potato\n");
   EXPECT_EQ(RunCli("f0 " + bad_stream + " 2>/dev/null").exit_code, 1);
+  // A negative number is not a u64, not 2^64 - 1: every raw element
+  // reader refuses it with the list message, and writes no sketch.
+  const std::string negative = WriteFixture("negative.txt", "5 -1 7\n");
+  const std::string out = testing::TempDir() + "/negative.mcf0";
+  std::remove(out.c_str());
+  for (const std::string& command :
+       {"f0 " + negative, "sketch build --out " + out + " " + negative}) {
+    const RunOutput run = RunCli(command + " 2>&1");
+    EXPECT_EQ(run.exit_code, 1) << command << ": " << run.stdout_text;
+    EXPECT_NE(run.stdout_text.find(
+                  "input is not a whitespace-separated u64 list"),
+              std::string::npos)
+        << command << ": " << run.stdout_text;
+  }
+  EXPECT_FALSE(std::ifstream(out).good());
 }
 
 TEST(CliTest, ZeroVariableFormulaIsACleanError) {
@@ -317,6 +334,63 @@ TEST(CliTest, SketchShardedBuildMatchesSerialBuild) {
   const std::string multi_bytes((std::istreambuf_iterator<char>(multi_in)),
                                 std::istreambuf_iterator<char>());
   EXPECT_EQ(serial_bytes, multi_bytes);
+}
+
+TEST(CliTest, SinglePassBlockBuildsMatchShardedBuilds) {
+  // Single-pass raw builds feed the sketch 4,096 parsed elements at a
+  // time; 10,000 elements make two full blocks and a ragged tail. The
+  // bytes must equal the sharded engine's, and `f0` must report what
+  // `sketch query` reads back. --delta 0.9 keeps Estimation at 6 rows.
+  std::string stream;
+  Rng rng(10'000);
+  for (int i = 0; i < 10'000; ++i) {
+    stream += std::to_string(rng.NextU64() >> 32) + "\n";
+  }
+  const std::string path = WriteFixture("blocks.txt", stream);
+  const std::string dir = testing::TempDir();
+  for (const std::string algo : {"estimation", "bucketing"}) {
+    const std::string common = " --seed 3 --delta 0.9 --algo " + algo + " ";
+    const std::string single = dir + "/blocks_single_" + algo + ".mcf0";
+    const std::string sharded = dir + "/blocks_sharded_" + algo + ".mcf0";
+    const RunOutput build =
+        RunCli("sketch build" + common + "--out " + single + " " + path);
+    ASSERT_EQ(build.exit_code, 0) << build.stdout_text;
+    EXPECT_DOUBLE_EQ(JsonNumber(build.stdout_text, "elements"), 10'000.0);
+    ASSERT_EQ(RunCli("sketch build" + common + "--shards 3 --out " + sharded +
+                     " " + path)
+                  .exit_code,
+              0);
+    std::ifstream single_in(single, std::ios::binary);
+    std::ifstream sharded_in(sharded, std::ios::binary);
+    const std::string single_bytes(
+        (std::istreambuf_iterator<char>(single_in)),
+        std::istreambuf_iterator<char>());
+    const std::string sharded_bytes(
+        (std::istreambuf_iterator<char>(sharded_in)),
+        std::istreambuf_iterator<char>());
+    EXPECT_FALSE(single_bytes.empty()) << algo;
+    EXPECT_EQ(single_bytes, sharded_bytes) << algo;
+
+    const RunOutput f0 = RunCli("f0" + common + path);
+    ASSERT_EQ(f0.exit_code, 0) << f0.stdout_text;
+    const RunOutput query = RunCli("sketch query " + single);
+    ASSERT_EQ(query.exit_code, 0) << query.stdout_text;
+    EXPECT_DOUBLE_EQ(JsonNumber(f0.stdout_text, "estimate"),
+                     JsonNumber(query.stdout_text, "estimate"))
+        << algo;
+  }
+
+  // Every block reaches the sketch, the ragged tail too: 10,000 elements
+  // over 99 distinct values, one only first and one only last, are
+  // counted exactly in Minimum's exact regime (< Thresh 150 values).
+  std::string cycled = "5000\n";
+  for (int i = 1; i < 9'999; ++i) cycled += std::to_string(i % 97) + "\n";
+  cycled += "6000\n";
+  const RunOutput exact =
+      RunCli("f0 --algo minimum " + WriteFixture("cycled.txt", cycled));
+  ASSERT_EQ(exact.exit_code, 0) << exact.stdout_text;
+  EXPECT_DOUBLE_EQ(JsonNumber(exact.stdout_text, "elements"), 10'000.0);
+  EXPECT_DOUBLE_EQ(JsonNumber(exact.stdout_text, "estimate"), 99.0);
 }
 
 TEST(CliTest, SketchMerge32ShardsIsByteIdenticalToSinglePass) {
@@ -631,7 +705,7 @@ TEST(CliTest, StructuredSketchUsageErrors) {
   // Range dimensions wider than 62 bits are refused at the header.
   for (const char* header : {"p range 1 63\n", "p range 1 64\n"}) {
     const std::string wide_range =
-        WriteFixture("wide_range.txt", std::string(header) + "0 5\n");
+        WriteFixture("wide_range_dim.txt", std::string(header) + "0 5\n");
     EXPECT_EQ(RunCli("sketch build --input range --out x.mcf0 " + wide_range +
                      " 2>/dev/null")
                   .exit_code,

@@ -237,6 +237,32 @@ TEST(SketchCodecTest, RejectsStructurallyInvalidRowState) {
       DecodeRowBytes<EstimationSketchRow>(cells_only.Take(), &field).ok());
 }
 
+TEST(SketchCodecTest, RejectsEstimationRowWhoseHashesDifferInS) {
+  // A row evaluates all its columns on one set of shared powers, so the
+  // row decoder refuses mixed independence degrees before it builds the
+  // row (the whole-sketch decoder's s check runs only after).
+  const Gf2Field field(16);
+  wire::ByteWriter w;
+  w.U8(1);      // hashes embedded
+  w.Varint(2);  // two hashes
+  w.Varint(2);  // s = 2
+  w.UintN(5, 2);
+  w.UintN(7, 2);
+  w.Varint(3);  // s = 3
+  w.UintN(1, 2);
+  w.UintN(2, 2);
+  w.UintN(3, 2);
+  w.Varint(2);  // two cells, 5 bits each, both zero
+  w.U8(0);
+  w.U8(0);
+  const Result<EstimationSketchRow> decoded =
+      DecodeRowBytes<EstimationSketchRow>(w.Take(), &field);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(decoded.status().message().find("differ in s"), std::string::npos)
+      << decoded.status().ToString();
+}
+
 TEST(SketchCodecTest, RejectsHugeRowCountWithoutAllocating) {
   // A tiny file whose parameters promise INT_MAX rows must be a clean
   // Status error, not a std::bad_alloc abort from a huge reserve().

@@ -1,10 +1,10 @@
 // Parity and byte-identity tests for the gf2k kernel layer
 // (src/hash/gf2_kernels): the hardware tiers must agree with the
-// portable reference bit-for-bit on every field width, the Toeplitz
-// middle product and the packed affine fast paths must agree with their
-// dense / per-bit references, and a sketch built through the span-Add
-// batch surface must encode to exactly the bytes of an item-by-item
-// build.
+// portable reference bit-for-bit on every field width, the shared-powers
+// row kernel with scalar Horner, the Toeplitz middle product and the
+// packed affine fast paths with their dense / per-bit references, and a
+// sketch built through the span-Add batch surface must encode to exactly
+// the bytes of an item-by-item build.
 //
 // Hardware-tier cases skip with a note when this CPU lacks the tier —
 // the CI force-portable leg runs the same binary with
@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -139,6 +141,72 @@ TEST(KernelParityTest, HornerBatchMatchesScalarEvalForEveryWidth) {
       hash.EvalBatch(xs, got);
       ASSERT_EQ(got, want) << "w=" << w << " tier="
                            << gf2k::KernelTierName(tier);
+    }
+  }
+}
+
+TEST(KernelParityTest, SharedPowersBatchMatchesScalarEvalOnEveryTier) {
+  // The Estimation row kernel: every column of a block evaluated on the
+  // points' shared powers with one Barrett reduction must equal scalar
+  // Horner (PolynomialHash::Eval) bit for bit, for every field width and
+  // independence degree, on 1, 3 and a row's 150 columns and on blocks of
+  // 1, 255, 256, 257 and 1,000 points. Every (w, s) runs every block with
+  // 1 and 3 columns; 150 columns take one block size per (w, s), in
+  // rotation, so each (columns, block) pair meets about 77 of the 384
+  // (w, s) pairs and the test stays quick under the sanitizers.
+  Rng rng(2027);
+  constexpr size_t kWideCols = 150;
+  constexpr std::array<size_t, 5> kBlocks = {1, 255, 256, 257, 1000};
+  std::vector<uint64_t> xs(kBlocks.back());
+  for (auto& x : xs) x = rng.NextU64();  // high bits ignored by the mask
+  size_t rotation = 0;
+  for (int w = 1; w <= 64; ++w) {
+    const Gf2Field& field = Gf2Field::Of(w);
+    for (const int s : {1, 2, 3, 4, 5, 8}) {
+      std::vector<PolynomialHash> hashes;
+      std::vector<const uint64_t*> polys;
+      for (size_t j = 0; j < kWideCols; ++j) {
+        hashes.push_back(PolynomialHash::Sample(&field, s, rng));
+      }
+      for (const PolynomialHash& h : hashes) polys.push_back(h.coeffs().data());
+      const size_t wide_block = kBlocks[rotation++ % kBlocks.size()];
+      std::vector<std::pair<size_t, size_t>> shapes;  // (columns, points)
+      for (const size_t points : kBlocks) {
+        shapes.emplace_back(1, points);
+        shapes.emplace_back(3, points);
+      }
+      shapes.emplace_back(kWideCols, wide_block);
+      // want[i * kWideCols + j] = hashes[j].Eval(xs[i]) wherever a shape
+      // reads it: 3 columns on every point, all columns on wide_block.
+      std::vector<uint64_t> want(xs.size() * kWideCols);
+      for (size_t i = 0; i < xs.size(); ++i) {
+        const size_t cols = i < wide_block ? kWideCols : 3;
+        for (size_t j = 0; j < cols; ++j) {
+          want[i * kWideCols + j] = hashes[j].Eval(xs[i]);
+        }
+      }
+      for (const KernelTier tier :
+           {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull}) {
+        if (!gf2k::KernelTierAvailable(tier)) continue;
+        ScopedTier force(tier);
+        for (const auto& [cols, points] : shapes) {
+          std::vector<uint64_t> got(points * cols);
+          gf2k::SharedPowersBatch(std::span(polys).first(cols), s,
+                                  std::span<const uint64_t>(xs).first(points),
+                                  got, w, field.modulus_low(),
+                                  field.barrett_mu_low());
+          for (size_t i = 0; i < points; ++i) {
+            for (size_t j = 0; j < cols; ++j) {
+              if (got[i * cols + j] == want[i * kWideCols + j]) continue;
+              FAIL() << "w=" << w << " s=" << s << " cols=" << cols
+                     << " points=" << points << " i=" << i << " j=" << j
+                     << " tier=" << gf2k::KernelTierName(tier) << ": got "
+                     << got[i * cols + j] << ", Eval gives "
+                     << want[i * kWideCols + j];
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -318,11 +386,50 @@ F0Params KernelTestParams(F0Algorithm algorithm) {
   return params;
 }
 
+/// A sketch built via span-Add on every available tier, whole and in
+/// odd-sized sub-batches, must encode to exactly the bytes of an
+/// item-by-item build on the portable tier.
+void ExpectSpanAddEqualsItemAdd(const F0Params& params,
+                                const std::vector<uint64_t>& xs) {
+  const std::string where = "algorithm=" +
+                            std::to_string(static_cast<int>(params.algorithm)) +
+                            " n=" + std::to_string(params.n) +
+                            " s=" + std::to_string(params.s_override);
+  std::string reference;
+  {
+    ScopedTier force(KernelTier::kPortable);
+    F0Estimator scalar(params);
+    for (const uint64_t x : xs) scalar.Add(x);
+    reference = SketchCodec::Encode(scalar);
+  }
+
+  for (const KernelTier tier :
+       {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull}) {
+    if (!gf2k::KernelTierAvailable(tier)) continue;
+    ScopedTier force(tier);
+    F0Estimator batched(params);
+    batched.Add(std::span<const uint64_t>(xs));
+    EXPECT_EQ(SketchCodec::Encode(batched), reference)
+        << where << " tier=" << gf2k::KernelTierName(tier);
+
+    // Mixed granularity: odd-sized sub-batches land on the same bytes.
+    F0Estimator chunked(params);
+    size_t i = 0;
+    size_t chunk = 3;
+    while (i < xs.size()) {
+      const size_t len = std::min(chunk, xs.size() - i);
+      chunked.Add(std::span<const uint64_t>(xs.data() + i, len));
+      i += len;
+      chunk = chunk * 2 + 1;
+    }
+    EXPECT_EQ(SketchCodec::Encode(chunked), reference)
+        << where << " tier=" << gf2k::KernelTierName(tier);
+  }
+}
+
 TEST(SpanAddByteIdentityTest, SpanAddEqualsItemAddOnEveryTierAndAlgorithm) {
-  // The pin behind the whole PR: kernels and batch surfaces change the
-  // implementation of the arithmetic, never its results. A sketch built
-  // via span-Add on any tier must encode to exactly the bytes of an
-  // item-by-item build on the portable tier.
+  // The pin behind every batch surface: kernels and batching change the
+  // implementation of the arithmetic, never its results.
   Rng rng(36);
   std::vector<uint64_t> xs(4000);
   for (auto& x : xs) x = rng.NextBelow(700);
@@ -330,39 +437,20 @@ TEST(SpanAddByteIdentityTest, SpanAddEqualsItemAddOnEveryTierAndAlgorithm) {
   for (const F0Algorithm algorithm :
        {F0Algorithm::kBucketing, F0Algorithm::kMinimum,
         F0Algorithm::kEstimation}) {
-    const F0Params params = KernelTestParams(algorithm);
+    ExpectSpanAddEqualsItemAdd(KernelTestParams(algorithm), xs);
+  }
 
-    std::string reference;
-    {
-      ScopedTier force(KernelTier::kPortable);
-      F0Estimator scalar(params);
-      for (const uint64_t x : xs) scalar.Add(x);
-      reference = SketchCodec::Encode(scalar);
-    }
-
-    for (const KernelTier tier :
-         {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull}) {
-      if (!gf2k::KernelTierAvailable(tier)) continue;
-      ScopedTier force(tier);
-      F0Estimator batched(params);
-      batched.Add(std::span<const uint64_t>(xs));
-      EXPECT_EQ(SketchCodec::Encode(batched), reference)
-          << "algorithm=" << static_cast<int>(algorithm)
-          << " tier=" << gf2k::KernelTierName(tier);
-
-      // Mixed granularity: odd-sized sub-batches land on the same bytes.
-      F0Estimator chunked(params);
-      size_t i = 0;
-      size_t chunk = 3;
-      while (i < xs.size()) {
-        const size_t len = std::min(chunk, xs.size() - i);
-        chunked.Add(std::span<const uint64_t>(xs.data() + i, len));
-        i += len;
-        chunk = chunk * 2 + 1;
-      }
-      EXPECT_EQ(SketchCodec::Encode(chunked), reference)
-          << "algorithm=" << static_cast<int>(algorithm)
-          << " tier=" << gf2k::KernelTierName(tier);
+  // Estimation's shared-powers kernel across field widths (n = 64 has
+  // the implicit x^64 Barrett term) and independence degrees (s = 1 is a
+  // constant hash), on full-width words.
+  std::vector<uint64_t> words(1500);
+  for (auto& x : words) x = rng.NextU64();
+  for (const int n : {1, 31, 32, 33, 64}) {
+    for (const int s : {1, 2, 7}) {
+      F0Params params = KernelTestParams(F0Algorithm::kEstimation);
+      params.n = n;
+      params.s_override = s;
+      ExpectSpanAddEqualsItemAdd(params, words);
     }
   }
 }

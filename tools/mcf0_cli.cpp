@@ -23,6 +23,7 @@
 // Common options: --eps E --delta D --seed S --algo NAME. Run with no
 // arguments (or `mcf0 help`) for the full reference. Exit codes: 0 ok,
 // 1 runtime/parse failure, 2 usage error.
+#include <array>
 #include <atomic>
 #include <cinttypes>
 #include <cmath>
@@ -34,6 +35,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -272,8 +274,10 @@ std::string ReadInput(const std::string& path) {
 }
 
 /// Streams whitespace-separated u64 elements from `path` ("-" = stdin)
-/// into `sink` one value at a time — constant memory regardless of stream
-/// length, unlike ReadInput's whole-file slurp. Returns the element count.
+/// into `sink` in blocks of up to 4,096 parsed values (a span over one
+/// fixed buffer): constant memory regardless of stream length, unlike
+/// ReadInput's whole-file slurp. A negative number is malformed input,
+/// not a wrapped u64. Returns the element count.
 template <typename Sink>
 uint64_t StreamElements(const std::string& path, Sink&& sink) {
   std::ifstream file;
@@ -283,13 +287,18 @@ uint64_t StreamElements(const std::string& path, Sink&& sink) {
     if (!file) Fail("cannot open " + path);
     in = &file;
   }
-  uint64_t element = 0;
+  std::array<uint64_t, 4096> block;
+  size_t len = 0;
   uint64_t count = 0;
-  while (*in >> element) {
-    sink(element);
+  while (*in >> std::ws && in->peek() != '-' && *in >> block[len]) {
     ++count;
+    if (++len == block.size()) {
+      sink(std::span<const uint64_t>(block.data(), len));
+      len = 0;
+    }
   }
   if (!in->eof()) Fail("input is not a whitespace-separated u64 list");
+  if (len > 0) sink(std::span<const uint64_t>(block.data(), len));
   return count;
 }
 
@@ -457,8 +466,9 @@ int RunF0(const CommonOptions& opts) {
   F0Estimator estimator(params);
   // Incremental ingestion: sketch space is O(polylog), so the stream must
   // never be buffered whole.
-  const uint64_t elements = StreamElements(
-      SingleInput(opts), [&](uint64_t x) { estimator.Add(x); });
+  const uint64_t elements =
+      StreamElements(SingleInput(opts),
+                     [&](std::span<const uint64_t> xs) { estimator.Add(xs); });
 
   JsonObject json = NewJson("f0");
   json.Add("algorithm", algo);
@@ -975,7 +985,9 @@ int RunSketchBuild(const CommonOptions& opts) {
     // Multi-producer ingestion needs the stream split across feeder
     // threads, so this path (alone) buffers the parsed elements first.
     std::vector<uint64_t> xs;
-    elements = StreamElements(input, [&](uint64_t x) { xs.push_back(x); });
+    elements = StreamElements(input, [&](std::span<const uint64_t> block) {
+      xs.insert(xs.end(), block.begin(), block.end());
+    });
     ShardedF0Engine engine(params, opts.shards);
     IngestAcrossProducers(engine, xs, opts.producers);
     const F0Estimator merged = engine.MergedSketch();
@@ -988,8 +1000,9 @@ int RunSketchBuild(const CommonOptions& opts) {
       // Add() batches internally; the handle's destructor dispatches the
       // tail, and MergedSketch() waits for it.
       ShardedF0Engine::Producer producer = engine.MakeProducer();
-      elements =
-          StreamElements(input, [&](uint64_t x) { producer.Add(x); });
+      elements = StreamElements(input, [&](std::span<const uint64_t> xs) {
+        for (const uint64_t x : xs) producer.Add(x);
+      });
     }
     const F0Estimator merged = engine.MergedSketch();
     estimate = merged.Estimate();
@@ -997,7 +1010,8 @@ int RunSketchBuild(const CommonOptions& opts) {
     blob = SketchCodec::Encode(merged);
   } else {
     F0Estimator estimator(params);
-    elements = StreamElements(input, [&](uint64_t x) { estimator.Add(x); });
+    elements = StreamElements(
+        input, [&](std::span<const uint64_t> xs) { estimator.Add(xs); });
     estimate = estimator.Estimate();
     space_bits = estimator.SpaceBits();
     blob = SketchCodec::Encode(estimator);
@@ -1274,8 +1288,8 @@ int RunPush(const CommonOptions& opts) {
 
   uint64_t items = 0;
   if (!structured) {
-    items = StreamElements(input, [&client](uint64_t x) {
-      CheckNet(client.Push({&x, 1}), "push");
+    items = StreamElements(input, [&client](std::span<const uint64_t> xs) {
+      for (const uint64_t x : xs) CheckNet(client.Push({&x, 1}), "push");
     });
   } else {
     // Same input syntax as `sketch build`, then one protocol item per
