@@ -1,8 +1,8 @@
 // E2 — sketch space and per-item update time: both must be
 // poly(1/eps, log N), independent of the stream length. Space table
 // across eps, a kernel-tier table (scalar vs batched absorb of the
-// Estimation and Minimum sketches on every GF(2) kernel tier this CPU
-// offers, medians of 5) feeding BENCH_e02_hash.json, and
+// Estimation, Minimum and Bucketing sketches on every GF(2) kernel tier
+// this CPU offers, medians of 5) feeding BENCH_e02_hash.json, and
 // google-benchmark timings for Add() when the library is available.
 //
 // The tier table doubles as a gate: the batched span-Add path must not
@@ -195,9 +195,11 @@ int main(int argc, char** argv) {
 
   // Kernel-tier table: the Estimation sketch is the polynomial-hash-bound
   // one, so its absorb rate is where the GF(2) kernel tier and the
-  // batched (HornerBatch) path show up; the Minimum sketch is bound by
-  // the Toeplitz middle product (ToeplitzAffine) and its flat KMV rows.
-  // Medians of 5 runs per cell.
+  // shared-powers row kernel show up; the Minimum sketch is bound by the
+  // Toeplitz middle product (ToeplitzAffine) and its flat KMV rows, and
+  // the Bucketing sketch by the square Toeplitz hash: its span path
+  // hashes a block before it replays the inserts, item Add hashes one
+  // item per call. Medians of 5 runs per cell.
   const size_t tier_elements = smoke ? 30000 : 200000;
   constexpr int kRuns = 5;
   std::vector<uint64_t> xs(tier_elements);
@@ -215,7 +217,8 @@ int main(int argc, char** argv) {
   std::vector<TierRow> rows;
   for (const auto& [sketch, algorithm] :
        {std::pair{"Estimation", F0Algorithm::kEstimation},
-        std::pair{"Minimum", F0Algorithm::kMinimum}}) {
+        std::pair{"Minimum", F0Algorithm::kMinimum},
+        std::pair{"Bucketing", F0Algorithm::kBucketing}}) {
     if (!MeasureTiers(sketch, MakeParams(algorithm, 0.4), xs, kRuns, &rows)) {
       return 1;
     }

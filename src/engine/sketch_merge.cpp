@@ -4,7 +4,6 @@
 #include <ostream>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "engine/sketch_codec.hpp"
@@ -25,25 +24,7 @@ Status Merge(BucketingSketchRow& into, const BucketingSketchRow& from) {
   if (into.thresh() != from.thresh() || !(into.hash() == from.hash())) {
     return Incompatible("bucketing rows");
   }
-  const int n = into.hash().n();
-  int level = std::max(into.level(), from.level());
-  // The cells are nested, so both buckets re-filtered to the deeper level,
-  // unioned, and escalated while saturated reproduce exactly the state of a
-  // single pass over the concatenated streams.
-  std::unordered_set<uint64_t> bucket;
-  for (const uint64_t x : into.bucket()) {
-    if (into.InCell(x, level)) bucket.insert(x);
-  }
-  for (const uint64_t x : from.bucket()) {
-    if (into.InCell(x, level)) bucket.insert(x);
-  }
-  while (bucket.size() > into.thresh() && level < n) {
-    ++level;
-    std::erase_if(bucket,
-                  [&](uint64_t x) { return !into.InCell(x, level); });
-  }
-  into = BucketingSketchRow(into.hash(), into.thresh(), level,
-                            std::move(bucket));
+  into.Merge(from.level(), from.bucket());
   return Status::Ok();
 }
 

@@ -608,9 +608,10 @@ Status DecodeBucketingPayload(ByteReader& r, uint16_t version,
       bucket.insert(x);
     }
   } else {
-    // Bucket elements are the raw 64-bit stream words (ingestion stores
-    // them unmasked; only their hash is n-bit), so the full u64 range is
-    // the bound — matching v1, which shipped raw U64s.
+    // Ingestion stores an element's low n bits, but files written before
+    // it did hold raw 64-bit stream words (only their hash is n-bit), so
+    // the full u64 range stays the bound to keep them readable — as in
+    // v1, which shipped raw U64s.
     std::vector<uint64_t> elems;
     Status status =
         DecodeAscendingU64Set(r, count, ~0ull, "bucketing bucket", &elems);
@@ -627,12 +628,9 @@ Status DecodeBucketingPayload(ByteReader& r, uint16_t version,
   // The from-parts invariant: every element lies in the cell at `level`.
   // Without this, a crafted file could inflate |bucket| * 2^level estimates
   // and break "blob equality is state equality" (Merge would re-filter).
-  const BucketingSketchRow& row = out->value();
-  for (const uint64_t x : row.bucket()) {
-    if (!row.InCell(x, row.level())) {
-      return Status::ParseError(
-          "bucketing element outside the cell at its level");
-    }
+  if (!out->value().BucketInCell()) {
+    return Status::ParseError(
+        "bucketing element outside the cell at its level");
   }
   return Status::Ok();
 }

@@ -270,7 +270,8 @@ ToeplitzShape MakeToeplitzShape(int n, int m) {
   sh.ws = (n + m - 1 + 63) / 64;
   // y_0 sits at exponent 64 (ws + wx) - n - 1 and the output's top bit at
   // 64 wy - 1, so the window starts s = 64 (ws + wx - wy) - n bits up;
-  // s >= 0 because ws >= wy and 64 wx >= n.
+  // s >= 0 because ws >= wy and 64 wx >= n. As 64 wx - n lies in [0, 64),
+  // k0 is ws - wy and r is 64 wx - n.
   const int s = 64 * (sh.ws + sh.wx - sh.wy) - n;
   sh.k0 = s / 64;
   sh.r = s % 64;
@@ -278,12 +279,26 @@ ToeplitzShape MakeToeplitzShape(int n, int m) {
   return sh;
 }
 
+/// A one-word-input shape whose seed and output word counts are
+/// compile-time constants, so PairsAt and ToeplitzOne unroll to straight
+/// code on registers. (kWs, kWy) in {(1, 1), (2, 1), (2, 2), (3, 2),
+/// (3, 3), (4, 3)} covers every n <= 64 with m <= 192.
+template <int kWs, int kWy>
+struct FixedToeplitzShape {
+  static constexpr int wx = 1;
+  static constexpr int wy = kWy;
+  static constexpr int ws = kWs;
+  static constexpr int k0 = kWs - kWy;
+  int r = 0;
+  uint64_t tail = 0;
+};
+
 /// The carry-less products of the seed and input word pairs that land on
 /// product word d, XORed: low halves belong to word d, high halves to
 /// d + 1. Zero outside [0, ws + wx - 2].
-template <typename Clmul>
+template <typename Shape, typename Clmul>
 __attribute__((always_inline)) inline Product128 PairsAt(
-    const ToeplitzShape& sh, const uint64_t* seed, const uint64_t* x, int d,
+    const Shape& sh, const uint64_t* seed, const uint64_t* x, int d,
     Clmul clmul) {
   Product128 sum;
   const int top = sh.ws + sh.wx - 2;
@@ -301,11 +316,11 @@ __attribute__((always_inline)) inline Product128 PairsAt(
 /// multiply). Product words are built one at a time, lowest first: word k
 /// is the low halves of the pairs at d = k plus the high halves carried
 /// from d = k - 1. Always inlined (as is PairsAt), so each tier's wrapper
-/// gets its own copy with the multiply inlined under that tier's target
-/// options.
-template <typename Clmul>
+/// gets its own copy per shape with the multiply inlined under that
+/// tier's target options.
+template <typename Shape, typename Clmul>
 __attribute__((always_inline)) inline void ToeplitzOne(
-    const ToeplitzShape& sh, const uint64_t* seed, const uint64_t* b,
+    const Shape& sh, const uint64_t* seed, const uint64_t* b,
     const uint64_t* x, uint64_t* y, Clmul clmul) {
   uint64_t carry = PairsAt(sh, seed, x, sh.k0 - 1, clmul).hi;
   uint64_t prev = 0;
@@ -328,18 +343,50 @@ __attribute__((always_inline)) inline void ToeplitzOne(
   y[sh.wy - 1] &= sh.tail;
 }
 
-/// The batch loop shared by every tier: geometry computed once, then one
-/// ToeplitzOne per input.
-template <typename Clmul>
-__attribute__((always_inline)) inline void ToeplitzBatch(
-    std::span<const uint64_t> seed, int n, int m, std::span<const uint64_t> b,
-    std::span<const uint64_t> xs, std::span<uint64_t> ys, Clmul clmul) {
-  const ToeplitzShape sh = MakeToeplitzShape(n, m);
+/// One ToeplitzOne per input of the batch.
+template <typename Shape, typename Clmul>
+__attribute__((always_inline)) inline void ToeplitzLoop(
+    const Shape& sh, std::span<const uint64_t> seed,
+    std::span<const uint64_t> b, std::span<const uint64_t> xs,
+    std::span<uint64_t> ys, Clmul clmul) {
   uint64_t* y = ys.data();
   for (size_t i = 0; i + static_cast<size_t>(sh.wx) <= xs.size();
        i += static_cast<size_t>(sh.wx), y += sh.wy) {
     ToeplitzOne(sh, seed.data(), b.data(), xs.data() + i, y, clmul);
   }
+}
+
+/// The loop on the compile-time shape (kWs, kWy) of `sh`.
+template <int kWs, int kWy, typename Clmul>
+__attribute__((always_inline)) inline void ToeplitzFixed(
+    const ToeplitzShape& sh, std::span<const uint64_t> seed,
+    std::span<const uint64_t> b, std::span<const uint64_t> xs,
+    std::span<uint64_t> ys, Clmul clmul) {
+  ToeplitzLoop(FixedToeplitzShape<kWs, kWy>{sh.r, sh.tail}, seed, b, xs, ys,
+               clmul);
+}
+
+/// The batch entry shared by every tier: the geometry is computed once
+/// per call, and a one-word input with m <= 192 runs its compile-time
+/// shape (ws is wy or wy + 1 when wx = 1); wider shapes run the same
+/// loop on the runtime geometry.
+template <typename Clmul>
+__attribute__((always_inline)) inline void ToeplitzBatch(
+    std::span<const uint64_t> seed, int n, int m, std::span<const uint64_t> b,
+    std::span<const uint64_t> xs, std::span<uint64_t> ys, Clmul clmul) {
+  const ToeplitzShape sh = MakeToeplitzShape(n, m);
+  if (sh.wx == 1) {
+    const auto is = [&sh](int ws, int wy) {
+      return sh.ws == ws && sh.wy == wy;
+    };
+    if (is(1, 1)) return ToeplitzFixed<1, 1>(sh, seed, b, xs, ys, clmul);
+    if (is(2, 1)) return ToeplitzFixed<2, 1>(sh, seed, b, xs, ys, clmul);
+    if (is(2, 2)) return ToeplitzFixed<2, 2>(sh, seed, b, xs, ys, clmul);
+    if (is(3, 2)) return ToeplitzFixed<3, 2>(sh, seed, b, xs, ys, clmul);
+    if (is(3, 3)) return ToeplitzFixed<3, 3>(sh, seed, b, xs, ys, clmul);
+    if (is(4, 3)) return ToeplitzFixed<4, 3>(sh, seed, b, xs, ys, clmul);
+  }
+  ToeplitzLoop(sh, seed, b, xs, ys, clmul);
 }
 
 void ToeplitzAffineSoft(std::span<const uint64_t> seed, int n, int m,

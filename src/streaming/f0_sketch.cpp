@@ -35,32 +35,82 @@ BucketingSketchRow::BucketingSketchRow(AffineHash h, uint64_t thresh,
   MCF0_CHECK(level >= 0 && level <= n_);
 }
 
-bool BucketingSketchRow::InCell(uint64_t x, int level) const {
-  if (level == 0) return true;
-  const uint64_t hash = h_.Eval64(x);
-  // First `level` bits of the n-bit value are its high bits.
-  return (hash >> (n_ - level)) == 0;
+bool BucketingSketchRow::HashInCell(uint64_t hashed, int level) {
+  // The n-bit value sits at the top of the word: its first `level` bits
+  // are the word's.
+  return level == 0 || (hashed >> (64 - level)) == 0;
 }
 
-void BucketingSketchRow::Add(uint64_t x) {
-  if (n_ < 64) x &= (1ull << n_) - 1;  // the universe is {0,1}^n
-  if (!InCell(x, level_)) return;
-  bucket_.insert(x);
+std::vector<uint64_t> BucketingSketchRow::Hashes(
+    std::span<const uint64_t> xs) const {
+  std::vector<uint64_t> hashed(xs.size());
+  h_.EvalBatch(xs, hashed);
+  return hashed;
+}
+
+bool BucketingSketchRow::InCell(uint64_t x, int level) const {
+  if (level == 0) return true;  // every element: skip the hash
+  return HashInCell(h_.Eval64(x) << (64 - n_), level);
+}
+
+bool BucketingSketchRow::BucketInCell() const {
+  const std::vector<uint64_t> elems(bucket_.begin(), bucket_.end());
+  return std::ranges::all_of(Hashes(elems), [this](uint64_t hashed) {
+    return HashInCell(hashed, level_);
+  });
+}
+
+void BucketingSketchRow::Escalate(std::span<const uint64_t> elems,
+                                  std::span<const uint64_t> hashed) {
+  // The cells are nested: each raise drops the members whose hash has a
+  // one at the new level's bit.
   while (bucket_.size() > thresh_ && level_ < n_) {
     ++level_;
-    for (auto it = bucket_.begin(); it != bucket_.end();) {
-      if (!InCell(*it, level_)) {
-        it = bucket_.erase(it);
-      } else {
-        ++it;
-      }
+    for (size_t i = 0; i < elems.size(); ++i) {
+      if (!HashInCell(hashed[i], level_)) bucket_.erase(elems[i]);
     }
   }
 }
 
+void BucketingSketchRow::Insert(uint64_t x) {
+  bucket_.insert(x);
+  if (bucket_.size() > thresh_ && level_ < n_) {
+    const std::vector<uint64_t> elems(bucket_.begin(), bucket_.end());
+    Escalate(elems, Hashes(elems));
+  }
+}
+
+void BucketingSketchRow::Add(uint64_t x) {
+  if (n_ < 64) x &= (1ull << n_) - 1;  // the universe is {0,1}^n
+  if (InCell(x, level_)) Insert(x);
+}
+
 void BucketingSketchRow::Add(std::span<const uint64_t> xs) {
-  // The insert/escalate sequence is order-sensitive; replay it exactly.
-  for (const uint64_t x : xs) Add(x);
+  // Hash a stack block up front, then replay the order-sensitive
+  // insert/escalate sequence on the hashed words: each item is tested at
+  // the level its predecessors left.
+  const uint64_t universe = ~0ull >> (64 - n_);
+  std::array<uint64_t, 256> hashed;
+  for (size_t base = 0; base < xs.size(); base += hashed.size()) {
+    const size_t len = std::min(hashed.size(), xs.size() - base);
+    h_.EvalBatch(xs.subspan(base, len), std::span(hashed.data(), len));
+    for (size_t i = 0; i < len; ++i) {
+      if (HashInCell(hashed[i], level_)) Insert(xs[base + i] & universe);
+    }
+  }
+}
+
+void BucketingSketchRow::Merge(int level,
+                               const std::unordered_set<uint64_t>& elems) {
+  std::vector<uint64_t> all(bucket_.begin(), bucket_.end());
+  all.insert(all.end(), elems.begin(), elems.end());
+  const std::vector<uint64_t> hashed = Hashes(all);
+  level_ = std::max(level_, level);
+  bucket_.clear();
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (HashInCell(hashed[i], level_)) bucket_.insert(all[i]);
+  }
+  Escalate(all, hashed);
 }
 
 double BucketingSketchRow::Estimate() const {

@@ -49,11 +49,22 @@ class BucketingSketchRow {
   BucketingSketchRow(AffineHash h, uint64_t thresh, int level,
                      std::unordered_set<uint64_t> bucket);
 
+  /// Item absorb: one hash per item — the scalar reference the span path
+  /// is measured and pinned against.
   void Add(uint64_t x);
 
-  /// Batch absorb; byte-identical to calling Add(x) in order (the level
-  /// escalation sequence is order-sensitive, so the batch path keeps it).
+  /// Batch absorb: hashes a stack block of items through one EvalBatch,
+  /// then replays the order-sensitive insert/escalate sequence on the
+  /// hashed words, so an item its cell rejects costs one shift and
+  /// compare. Byte-identical to calling Add(x) in order.
   void Add(std::span<const uint64_t> xs);
+
+  /// The union-merge path: raises the level to at least `level`, keeps
+  /// the members of that level's cell among the bucket and `elems`, and
+  /// escalates while over thresh. The cells are nested, so merging
+  /// another row's (level, bucket) reproduces the state of one pass over
+  /// both streams.
+  void Merge(int level, const std::unordered_set<uint64_t>& elems);
 
   /// |bucket| * 2^level.
   double Estimate() const;
@@ -66,11 +77,31 @@ class BucketingSketchRow {
   size_t SpaceBits() const;
 
   /// First `level` bits of h(x) all zero? The cells are nested in `level`,
-  /// which is what makes buckets union-mergeable (re-filter to the deeper
-  /// side's level, then keep escalating while over thresh).
+  /// which is what makes buckets union-mergeable.
   bool InCell(uint64_t x, int level) const;
 
+  /// True iff every bucket element lies in the cell at level(): the
+  /// from-parts invariant, which the constructor leaves to decoders.
+  bool BucketInCell() const;
+
  private:
+  /// First `level` bits of a hashed word (EvalBatch's layout: the n-bit
+  /// value at the top of the word) all zero? The one cell test of
+  /// InCell, the span replay and every re-filter.
+  static bool HashInCell(uint64_t hashed, int level);
+
+  /// EvalBatch over `xs`.
+  std::vector<uint64_t> Hashes(std::span<const uint64_t> xs) const;
+
+  /// Raises the level while the bucket holds more than thresh (below
+  /// level n), dropping the members that leave the cell. `elems` covers
+  /// the bucket, and `hashed` is their EvalBatch.
+  void Escalate(std::span<const uint64_t> elems,
+                std::span<const uint64_t> hashed);
+
+  /// Stores an element of {0,1}^n its cell admits, then escalates if that
+  /// put the bucket over thresh.
+  void Insert(uint64_t x);
 
   int n_;
   uint64_t thresh_;

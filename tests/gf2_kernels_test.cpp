@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -274,9 +276,10 @@ TEST(ToeplitzKernelTest, EveryEvalPathMatchesTheDenseProductOnEveryTier) {
   // The middle product on the seed against the dense m x n product A x + b,
   // for every n in 1..64 with m in {1, n, 3n, 192} and for wide inputs
   // n in {65, 128, 200} with m = 3n (plus one-word inputs with m = 300,
-  // five output words): Eval, EvalPrefix and a multi-input kernel batch
-  // always; EvalBatch, Eval64 and Bucketing's InCell where the word
-  // universe allows them.
+  // five output words). The kernel and EvalBatch (where the word universe
+  // allows it) run batches of 1, 255, 256 and 257 inputs, straddling
+  // EvalBatch's 256-input pack; Eval, EvalPrefix, Eval64 and Bucketing's
+  // InCell run on the first inputs.
   std::vector<std::pair<int, int>> shapes;
   for (int n = 1; n <= 64; ++n) {
     for (const int m : {1, n, 3 * n, 192}) shapes.emplace_back(n, m);
@@ -284,46 +287,77 @@ TEST(ToeplitzKernelTest, EveryEvalPathMatchesTheDenseProductOnEveryTier) {
   for (const int n : {65, 128, 200}) shapes.emplace_back(n, 3 * n);
   shapes.emplace_back(12, 300);
   shapes.emplace_back(64, 300);
+  // A one-word input (n <= 64) with m <= 192 runs the compile-time shape
+  // of its (seed words, output words); every other shape runs the
+  // runtime geometry, keyed {0, 0} here. Each tier must meet all seven.
+  const std::set<std::pair<int, int>> fixed_shapes = {
+      {1, 1}, {2, 1}, {2, 2}, {3, 2}, {3, 3}, {4, 3}};
+  std::map<KernelTier, std::set<std::pair<int, int>>> reached;
+  constexpr std::array<size_t, 4> kBatches = {1, 255, 256, 257};
+  constexpr size_t kScalarChecks = 5;
   Rng rng(41);
   for (const auto& [n, m] : shapes) {
     const AffineHash h = AffineHash::SampleToeplitz(n, m, rng);
     const Gf2Matrix dense = ToeplitzMatrix(m, n, h.ToeplitzSeed()).ToDense();
     const size_t wx = static_cast<size_t>(n + 63) / 64;
     const size_t wy = static_cast<size_t>(h.OutputWords());
+    const std::pair<int, int> words = {(n + m - 1 + 63) / 64,
+                                       static_cast<int>(wy)};
+    const std::pair<int, int> shape =
+        wx == 1 && fixed_shapes.contains(words) ? words : std::pair{0, 0};
     std::vector<BitVec> xs;
-    std::vector<uint64_t> x_words;
-    for (int trial = 0; trial < 5; ++trial) {
-      xs.push_back(BitVec::Random(n, rng));
-      x_words.insert(x_words.end(), xs.back().words().begin(),
-                     xs.back().words().end());
+    std::vector<BitVec> wants;
+    for (const size_t batch : kBatches) {
+      for (size_t t = 0; t < batch; ++t) {
+        xs.push_back(BitVec::Random(n, rng));
+        wants.push_back(dense.MulAffine(xs.back(), h.b()));
+      }
     }
     for (const KernelTier tier :
          {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull}) {
       if (!gf2k::KernelTierAvailable(tier)) continue;
       ScopedTier force(tier);
+      reached[tier].insert(shape);
       const std::string where = "n=" + std::to_string(n) +
                                 " m=" + std::to_string(m) +
                                 " tier=" + gf2k::KernelTierName(tier);
-      std::vector<uint64_t> batch(xs.size() * wy);
-      gf2k::ToeplitzAffine(h.ToeplitzSeed().words(), n, m, h.b().words(),
-                           x_words, batch);
-      for (size_t t = 0; t < xs.size(); ++t) {
+      const auto output = [&](const std::vector<uint64_t>& ys, size_t t) {
+        return BitVec::FromWords(
+            m, std::vector<uint64_t>(ys.begin() + t * wy,
+                                     ys.begin() + (t + 1) * wy));
+      };
+      size_t first = 0;
+      for (const size_t batch : kBatches) {
+        std::vector<uint64_t> x_words;
+        std::vector<uint64_t> x_u64;
+        for (size_t t = first; t < first + batch; ++t) {
+          x_words.insert(x_words.end(), xs[t].words().begin(),
+                         xs[t].words().end());
+          if (wx == 1) x_u64.push_back(xs[t].ToU64());
+        }
+        std::vector<uint64_t> ys(batch * wy);
+        gf2k::ToeplitzAffine(h.ToeplitzSeed().words(), n, m, h.b().words(),
+                             x_words, ys);
+        std::vector<uint64_t> evals(wx == 1 ? batch * wy : 0);
+        if (wx == 1) h.EvalBatch(x_u64, evals);
+        for (size_t t = 0; t < batch; ++t) {
+          ASSERT_EQ(output(ys, t), wants[first + t])
+              << where << " batch=" << batch << " input=" << t;
+          if (wx != 1) continue;
+          ASSERT_EQ(output(evals, t), wants[first + t])
+              << where << " EvalBatch batch=" << batch << " input=" << t;
+        }
+        first += batch;
+      }
+      for (size_t t = 0; t < kScalarChecks; ++t) {
         const BitVec& x = xs[t];
-        const BitVec want = dense.MulAffine(x, h.b());
+        const BitVec& want = wants[t];
         ASSERT_EQ(h.Eval(x), want) << where;
-        ASSERT_EQ(BitVec::FromWords(
-                      m, std::vector<uint64_t>(batch.begin() + t * wy,
-                                               batch.begin() + (t + 1) * wy)),
-                  want)
-            << where;
         for (const int l : {0, 1, m / 2, m}) {
           ASSERT_EQ(h.EvalPrefix(x, l), want.Prefix(l)) << where << " l=" << l;
         }
         if (wx != 1) continue;
         const uint64_t word = x.ToU64();
-        std::vector<uint64_t> y(wy);
-        h.EvalBatch(std::span<const uint64_t>(&word, 1), y);
-        ASSERT_EQ(BitVec::FromWords(m, y), want) << where;
         if (m <= 64) {
           ASSERT_EQ(h.Eval64(word), want.ToU64()) << where;
         }
@@ -336,6 +370,10 @@ TEST(ToeplitzKernelTest, EveryEvalPathMatchesTheDenseProductOnEveryTier) {
         }
       }
     }
+  }
+  for (const auto& [tier, seen] : reached) {
+    EXPECT_EQ(seen.size(), fixed_shapes.size() + 1)
+        << "tier=" << gf2k::KernelTierName(tier);
   }
 }
 
@@ -386,23 +424,42 @@ F0Params KernelTestParams(F0Algorithm algorithm) {
   return params;
 }
 
+/// Builds `params` from `xs` in sub-batches whose lengths cycle through
+/// `chunks`.
+F0Estimator ChunkedBuild(const F0Params& params,
+                         const std::vector<uint64_t>& xs,
+                         std::span<const size_t> chunks) {
+  F0Estimator est(params);
+  for (size_t i = 0, k = 0; i < xs.size(); ++k) {
+    const size_t len = std::min(chunks[k % chunks.size()], xs.size() - i);
+    est.Add(std::span<const uint64_t>(xs.data() + i, len));
+    i += len;
+  }
+  return est;
+}
+
 /// A sketch built via span-Add on every available tier, whole and in
-/// odd-sized sub-batches, must encode to exactly the bytes of an
-/// item-by-item build on the portable tier.
-void ExpectSpanAddEqualsItemAdd(const F0Params& params,
-                                const std::vector<uint64_t>& xs) {
-  const std::string where = "algorithm=" +
-                            std::to_string(static_cast<int>(params.algorithm)) +
-                            " n=" + std::to_string(params.n) +
-                            " s=" + std::to_string(params.s_override);
-  std::string reference;
+/// sub-batches, must encode to exactly the bytes of an item-by-item build
+/// on the portable tier, which is returned. One set of sub-batches grows
+/// through odd sizes; the other straddles EvalBatch's 256-element pack
+/// and the rows' stack blocks.
+F0Estimator ExpectSpanAddEqualsItemAdd(const F0Params& params,
+                                       const std::vector<uint64_t>& xs) {
+  const std::string where =
+      "algorithm=" + std::to_string(static_cast<int>(params.algorithm)) +
+      " n=" + std::to_string(params.n) +
+      " thresh=" + std::to_string(params.thresh_override) +
+      " s=" + std::to_string(params.s_override);
+  std::optional<F0Estimator> scalar;
   {
     ScopedTier force(KernelTier::kPortable);
-    F0Estimator scalar(params);
-    for (const uint64_t x : xs) scalar.Add(x);
-    reference = SketchCodec::Encode(scalar);
+    scalar.emplace(params);
+    for (const uint64_t x : xs) scalar->Add(x);
   }
+  const std::string reference = SketchCodec::Encode(*scalar);
 
+  constexpr std::array<size_t, 8> kOdd = {3, 7, 15, 31, 63, 127, 255, 511};
+  constexpr std::array<size_t, 4> kStraddling = {255, 256, 257, 513};
   for (const KernelTier tier :
        {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull}) {
     if (!gf2k::KernelTierAvailable(tier)) continue;
@@ -411,20 +468,14 @@ void ExpectSpanAddEqualsItemAdd(const F0Params& params,
     batched.Add(std::span<const uint64_t>(xs));
     EXPECT_EQ(SketchCodec::Encode(batched), reference)
         << where << " tier=" << gf2k::KernelTierName(tier);
-
-    // Mixed granularity: odd-sized sub-batches land on the same bytes.
-    F0Estimator chunked(params);
-    size_t i = 0;
-    size_t chunk = 3;
-    while (i < xs.size()) {
-      const size_t len = std::min(chunk, xs.size() - i);
-      chunked.Add(std::span<const uint64_t>(xs.data() + i, len));
-      i += len;
-      chunk = chunk * 2 + 1;
-    }
-    EXPECT_EQ(SketchCodec::Encode(chunked), reference)
-        << where << " tier=" << gf2k::KernelTierName(tier);
+    EXPECT_EQ(SketchCodec::Encode(ChunkedBuild(params, xs, kOdd)), reference)
+        << where << " odd sub-batches, tier=" << gf2k::KernelTierName(tier);
+    EXPECT_EQ(SketchCodec::Encode(ChunkedBuild(params, xs, kStraddling)),
+              reference)
+        << where << " block-straddling sub-batches, tier="
+        << gf2k::KernelTierName(tier);
   }
+  return *std::move(scalar);
 }
 
 TEST(SpanAddByteIdentityTest, SpanAddEqualsItemAddOnEveryTierAndAlgorithm) {
@@ -440,19 +491,35 @@ TEST(SpanAddByteIdentityTest, SpanAddEqualsItemAddOnEveryTierAndAlgorithm) {
     ExpectSpanAddEqualsItemAdd(KernelTestParams(algorithm), xs);
   }
 
-  // Estimation's shared-powers kernel across field widths (n = 64 has
-  // the implicit x^64 Barrett term) and independence degrees (s = 1 is a
-  // constant hash), on full-width words.
+  // Every sketch across universe widths on full-width words (n = 64 has
+  // no high bits to drop). Estimation's shared-powers kernel runs
+  // independence degrees s = 1 (a constant hash) to 7 (n = 64 has the
+  // implicit x^64 Barrett term). Bucketing and Minimum run Thresh 1 and
+  // 3, so escalations land mid-block and at n = 1 a row reaches level n.
   std::vector<uint64_t> words(1500);
   for (auto& x : words) x = rng.NextU64();
-  for (const int n : {1, 31, 32, 33, 64}) {
+  bool level_n_reached = false;
+  for (const int n : {1, 31, 32, 33, 63, 64}) {
     for (const int s : {1, 2, 7}) {
       F0Params params = KernelTestParams(F0Algorithm::kEstimation);
       params.n = n;
       params.s_override = s;
       ExpectSpanAddEqualsItemAdd(params, words);
     }
+    for (const F0Algorithm algorithm :
+         {F0Algorithm::kBucketing, F0Algorithm::kMinimum}) {
+      for (const uint64_t thresh : {1, 3}) {
+        F0Params params = KernelTestParams(algorithm);
+        params.n = n;
+        params.thresh_override = thresh;
+        const F0Estimator scalar = ExpectSpanAddEqualsItemAdd(params, words);
+        for (const BucketingSketchRow& row : scalar.bucketing_rows()) {
+          level_n_reached |= row.level() == n;
+        }
+      }
+    }
   }
+  EXPECT_TRUE(level_n_reached);
 }
 
 }  // namespace
