@@ -66,8 +66,9 @@ Status Merge(StructuredBucketRow& into, const StructuredBucketRow& from) {
   }
   const int n = into.n();
   int level = std::max(into.level(), from.level());
-  // Nested cells again: both buckets re-filtered to the deeper level,
-  // unioned, escalated while saturated == the single-pass state.
+  // Nested cells, as in BucketingSketchRow::Merge: both buckets
+  // re-filtered to the deeper level, unioned, escalated while saturated ==
+  // the single-pass state.
   std::set<BitVec> bucket;
   for (const BitVec& x : into.bucket()) {
     if (into.InCell(x, level)) bucket.insert(x);

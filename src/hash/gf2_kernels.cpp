@@ -281,8 +281,10 @@ ToeplitzShape MakeToeplitzShape(int n, int m) {
 
 /// A one-word-input shape whose seed and output word counts are
 /// compile-time constants, so PairsAt and ToeplitzOne unroll to straight
-/// code on registers. (kWs, kWy) in {(1, 1), (2, 1), (2, 2), (3, 2),
-/// (3, 3), (4, 3)} covers every n <= 64 with m <= 192.
+/// code on registers. Two are instantiated: (kWs, kWy) = (1, 1), i.e.
+/// n + m <= 65 (the Bucketing row's square hash up to n = 32), and
+/// (2, 2), i.e. 64 < m and n + m <= 129 (the Minimum row's m = 3n at
+/// n = 32).
 template <int kWs, int kWy>
 struct FixedToeplitzShape {
   static constexpr int wx = 1;
@@ -367,24 +369,19 @@ __attribute__((always_inline)) inline void ToeplitzFixed(
 }
 
 /// The batch entry shared by every tier: the geometry is computed once
-/// per call, and a one-word input with m <= 192 runs its compile-time
-/// shape (ws is wy or wy + 1 when wx = 1); wider shapes run the same
-/// loop on the runtime geometry.
+/// per call, a one-word input on one of FixedToeplitzShape's two shapes
+/// runs it, and every other shape runs the same loop on the runtime
+/// geometry.
 template <typename Clmul>
 __attribute__((always_inline)) inline void ToeplitzBatch(
     std::span<const uint64_t> seed, int n, int m, std::span<const uint64_t> b,
     std::span<const uint64_t> xs, std::span<uint64_t> ys, Clmul clmul) {
   const ToeplitzShape sh = MakeToeplitzShape(n, m);
-  if (sh.wx == 1) {
-    const auto is = [&sh](int ws, int wy) {
-      return sh.ws == ws && sh.wy == wy;
-    };
-    if (is(1, 1)) return ToeplitzFixed<1, 1>(sh, seed, b, xs, ys, clmul);
-    if (is(2, 1)) return ToeplitzFixed<2, 1>(sh, seed, b, xs, ys, clmul);
-    if (is(2, 2)) return ToeplitzFixed<2, 2>(sh, seed, b, xs, ys, clmul);
-    if (is(3, 2)) return ToeplitzFixed<3, 2>(sh, seed, b, xs, ys, clmul);
-    if (is(3, 3)) return ToeplitzFixed<3, 3>(sh, seed, b, xs, ys, clmul);
-    if (is(4, 3)) return ToeplitzFixed<4, 3>(sh, seed, b, xs, ys, clmul);
+  if (sh.wx == 1 && sh.ws == 1 && sh.wy == 1) {
+    return ToeplitzFixed<1, 1>(sh, seed, b, xs, ys, clmul);
+  }
+  if (sh.wx == 1 && sh.ws == 2 && sh.wy == 2) {
+    return ToeplitzFixed<2, 2>(sh, seed, b, xs, ys, clmul);
   }
   ToeplitzLoop(sh, seed, b, xs, ys, clmul);
 }

@@ -43,9 +43,8 @@ class BucketingSketchRow {
  public:
   BucketingSketchRow(int n, uint64_t thresh, Rng& rng);
 
-  /// Rebuilds a row from explicit state — the engine entry point
-  /// (src/engine): SketchCodec decoding and Merge() both reconstruct rows
-  /// this way. `bucket` must be a subset of the cell at `level`.
+  /// Rebuilds a row from explicit state — the decoders' entry point
+  /// (src/engine). `bucket` must be a subset of the cell at `level`.
   BucketingSketchRow(AffineHash h, uint64_t thresh, int level,
                      std::unordered_set<uint64_t> bucket);
 
