@@ -358,16 +358,6 @@ __attribute__((always_inline)) inline void ToeplitzLoop(
   }
 }
 
-/// The loop on the compile-time shape (kWs, kWy) of `sh`.
-template <int kWs, int kWy, typename Clmul>
-__attribute__((always_inline)) inline void ToeplitzFixed(
-    const ToeplitzShape& sh, std::span<const uint64_t> seed,
-    std::span<const uint64_t> b, std::span<const uint64_t> xs,
-    std::span<uint64_t> ys, Clmul clmul) {
-  ToeplitzLoop(FixedToeplitzShape<kWs, kWy>{sh.r, sh.tail}, seed, b, xs, ys,
-               clmul);
-}
-
 /// The batch entry shared by every tier: the geometry is computed once
 /// per call, a one-word input on one of FixedToeplitzShape's two shapes
 /// runs it, and every other shape runs the same loop on the runtime
@@ -378,10 +368,12 @@ __attribute__((always_inline)) inline void ToeplitzBatch(
     std::span<const uint64_t> xs, std::span<uint64_t> ys, Clmul clmul) {
   const ToeplitzShape sh = MakeToeplitzShape(n, m);
   if (sh.wx == 1 && sh.ws == 1 && sh.wy == 1) {
-    return ToeplitzFixed<1, 1>(sh, seed, b, xs, ys, clmul);
+    return ToeplitzLoop(FixedToeplitzShape<1, 1>{sh.r, sh.tail}, seed, b, xs,
+                        ys, clmul);
   }
   if (sh.wx == 1 && sh.ws == 2 && sh.wy == 2) {
-    return ToeplitzFixed<2, 2>(sh, seed, b, xs, ys, clmul);
+    return ToeplitzLoop(FixedToeplitzShape<2, 2>{sh.r, sh.tail}, seed, b, xs,
+                        ys, clmul);
   }
   ToeplitzLoop(sh, seed, b, xs, ys, clmul);
 }
